@@ -42,8 +42,9 @@ enum class Op : std::uint8_t {
   // INDEX_PROBE open: dead or no prepared view -> jump t;
   // ++index_lookups; position on the posting list for keys[a].
   kProbe,
-  // INDEX_PROBE next: list exhausted -> jump t; skips old-snapshot rows
-  // at or past the limit without bumping, else ++tuples_scanned.
+  // INDEX_PROBE next: list exhausted -> jump t; else advance,
+  // ++tuples_scanned. The list holds only the postings inside step a's
+  // row range (old prefix, delta range, or the whole relation).
   kProbeNext,
   // FILTER_CONST: column b of step a's current row != pool constant c ->
   // jump t (continue the enclosing loop).
@@ -55,11 +56,13 @@ enum class Op : std::uint8_t {
   kFilterEq,
   // LOAD_COL: slots[c] = column b of step a's current row.
   kLoad,
-  // Fully-bound membership against the current state: dead -> jump t;
-  // ++index_lookups; ++tuples_scanned; keys[a] not present -> jump t.
+  // Fully-bound membership: dead -> jump t; ++index_lookups;
+  // ++tuples_scanned; the row holding keys[a] (found through the dedup
+  // table) absent or outside step a's row range -> jump t.
   kMember,
-  // Fully-bound membership against the old snapshot: as kMember but the
-  // matching row must predate the old limit.
+  // Retired: executes exactly as kMember (the row-range check covers the
+  // old snapshot too). Kept so format-v1 encodings still decode; Lower
+  // no longer emits it.
   kMemberOld,
   // EMIT: ++substitutions; negated literals absent -> buffer the head
   // row ids; always jump t (the innermost loop's next op, or HALT).
@@ -212,18 +215,19 @@ bool Decode(const std::uint8_t* data, std::size_t size, Program* out,
 /// Per-opcode dispatch tallies for the obs layer (bytecode.dispatch).
 using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 
-/// Executes a validated program: enumerates body matches and inserts
-/// instantiated heads into `out` (which may alias `full`), mirroring
-/// CompiledRule::Apply's batch/multiway executors bump for bump.
-/// Returns false -- before bumping any counter or inserting anything --
+/// Executes a validated program: enumerates body matches and appends the
+/// instantiated head rows to `out`, mirroring CompiledRule::Derive's
+/// batch/multiway executors bump for bump (EmitDerived inserts them).
+/// Returns false -- before bumping any counter or deriving anything --
 /// when the program cannot run against these databases (a live relation
 /// is not columnar, or a relation's arity contradicts the program), in
 /// which case the caller falls back to the struct interpreter. When
 /// `dispatch` is non-null every executed instruction is tallied per
 /// opcode.
-bool Run(const Program& program, const Database& full, const Database* delta,
-         const OldLimits* old_limits, Database* out, MatchStats* stats,
-         std::size_t* new_facts, DispatchCounts* dispatch = nullptr);
+bool Run(const Program& program, const Database& full,
+         const DeltaRanges* delta, const OldLimits* old_limits,
+         DerivedRows* out, MatchStats* stats,
+         DispatchCounts* dispatch = nullptr);
 
 /// Publishes a run's dispatch tallies to the process MetricsRegistry as
 /// `bytecode.dispatch{op=...}` counters. No-op when metrics are off.

@@ -177,8 +177,7 @@ Program Lower(const CompiledRule& plan) {
       const bool fully_bound =
           static_cast<int>(cs.key_cols.size()) == cs.arity;
       if (plan.use_index_ && fully_bound) {
-        emit(cs.source == AtomSource::kOld ? Op::kMemberOld : Op::kMember,
-             da, 0, 0, cont());
+        emit(Op::kMember, da, 0, 0, cont());
         continue;
       }
       const bool indexed = plan.use_index_ && !cs.key_cols.empty();

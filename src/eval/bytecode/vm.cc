@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "eval/bytecode/bytecode.h"
@@ -84,14 +85,15 @@ void PublishDispatchCounts(const DispatchCounts& counts) {
 namespace {
 
 // Loop-invariant per-step source state, resolved once per Run with
-// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation,
-// old-snapshot limit, liveness, and -- when the step probes an index --
-// a direct view. `limit` is clamped to 0 for dead steps so a validated
-// but hand-written program that enters a dead step's Next op yields no
-// rows instead of touching mismatched columns.
+// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation, row
+// range [begin, end), liveness, and -- when the step probes an index --
+// a direct view. The range is emptied for dead steps so a validated but
+// hand-written program that enters a dead step's Next op yields no rows
+// instead of touching mismatched columns.
 struct StepRt {
   const Relation* rel = nullptr;
-  std::size_t limit = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
   bool dead = false;
   bool old_only = false;
   bool has_view = false;
@@ -108,10 +110,11 @@ struct StepRt {
   std::vector<std::pair<const std::uint32_t*, std::uint32_t>> write_ptrs;
 };
 
-// Per-step enumeration cursor: the posting list (indexed probes), the
-// next position to try, and the current row.
+// Per-step enumeration cursor: the in-range part of the posting list
+// (indexed probes), the next position to try (a list index, or a row id
+// for scans), and the current row.
 struct IterRt {
-  const std::vector<std::uint32_t>* list = nullptr;
+  std::span<const std::uint32_t> list;
   std::size_t pos = 0;
   std::uint32_t row = 0;
 };
@@ -142,25 +145,19 @@ struct NegRt {
   bool row_store = false;
 };
 
-std::size_t OldLimitFor(const OldLimits* old_limits, PredicateId pred) {
-  if (old_limits == nullptr) return 0;
-  auto it = old_limits->find(pred);
-  return it == old_limits->end() ? 0 : it->second;
-}
-
 template <bool kCount>
-bool RunImpl(const Program& p, const Database& full, const Database* delta,
-             const OldLimits* old_limits, Database* out, MatchStats* stats,
-             std::size_t* new_facts, DispatchCounts* dispatch) {
+bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
+             const OldLimits* old_limits, DerivedRows* out, MatchStats* stats,
+             DispatchCounts* dispatch) {
   if (p.code.empty() || p.shape > 1) return false;
   if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
 
   // ---- Guards (no counter bumps, no side effects) -----------------------
   const auto head_pred = static_cast<PredicateId>(p.head_predicate);
-  if (head_pred < 0 || head_pred >= out->symbols()->NumPredicates()) {
+  if (head_pred < 0 || head_pred >= full.symbols()->NumPredicates()) {
     return false;
   }
-  if (out->symbols()->PredicateArity(head_pred) !=
+  if (full.symbols()->PredicateArity(head_pred) !=
       static_cast<int>(p.head.size())) {
     return false;
   }
@@ -182,27 +179,26 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
     const StepDesc& sd = p.steps[d];
     const auto source = static_cast<AtomSource>(sd.source);
     if (source == AtomSource::kDelta && delta == nullptr) return false;
-    const Database& src = source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(static_cast<PredicateId>(sd.predicate));
+    const RowRange range =
+        ResolveAtomSource(source, static_cast<PredicateId>(sd.predicate),
+                          full, delta, old_limits);
+    const Relation& rel = *range.rel;
     StepRt& rt = srt[d];
     rt.rel = &rel;
-    rt.limit = rel.size();
-    rt.dead = rel.empty() || rel.arity() != static_cast<int>(sd.arity);
+    rt.begin = range.begin;
+    rt.end = range.end;
+    rt.dead = range.empty() || rel.arity() != static_cast<int>(sd.arity);
     rt.old_only = source == AtomSource::kOld;
-    if (rt.old_only && !rt.dead) {
-      rt.limit = OldLimitFor(old_limits, static_cast<PredicateId>(sd.predicate));
-      rt.dead = rt.limit == 0;
-    }
     if (!rt.dead && !rel.columnar()) return false;
     if (rt.dead) {
-      rt.limit = 0;
+      rt.begin = rt.end = 0;
       continue;
     }
     if (p.shape != 0) continue;  // multiway code never runs left-deep probes
-    const bool fully_bound = sd.key_cols.size() == sd.arity;
-    const bool probes_index =
-        p.use_index &&
-        (fully_bound ? rt.old_only : !sd.key_cols.empty());
+    // Partially bound probes read an index; fully bound ones find their
+    // one candidate row through the dedup table.
+    const bool probes_index = p.use_index && !sd.key_cols.empty() &&
+                              sd.key_cols.size() != sd.arity;
     if (probes_index) {
       rt.single_key = sd.key_cols.size() == 1;
       if (rt.single_key) {
@@ -235,10 +231,7 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
     // Any dead atom empties the whole intersection: report zero new facts
     // without touching the head relation, exactly like ApplyMultiway.
     for (const StepRt& rt : srt) {
-      if (rt.dead) {
-        *new_facts = 0;
-        return true;
-      }
+      if (rt.dead) return true;
     }
     mrt.resize(p.mw_steps.size());
     for (std::size_t s = 0; s < p.mw_steps.size(); ++s) {
@@ -272,16 +265,17 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
           prt.union_index = rel.PrepareIndex(probe.union_cols);
           continue;
         }
-        if (!at.old_only && probe.var_cols.size() == 1) {
+        if (!at.old_only && probe.var_cols.size() == 1 && at.begin == 0 &&
+            at.end == rel.size()) {
           prt.root = &rel.SortedColumnKeys(probe.var_cols[0]);
           continue;
         }
-        // Old snapshot or repeated variable: project the qualifying
-        // prefix once per Run, sorted and deduplicated.
+        // Part of the relation or a repeated variable: project the
+        // qualifying range once per Run, sorted and deduplicated.
         owned_roots.emplace_back();
         std::vector<std::uint32_t>& list = owned_roots.back();
         const std::vector<std::uint32_t>& c0 = rel.column(probe.var_cols[0]);
-        for (std::size_t i = 0; i < at.limit; ++i) {
+        for (std::size_t i = at.begin; i < at.end; ++i) {
           const std::uint32_t id = c0[i];
           bool ok = true;
           for (std::size_t k = 1; k < probe.var_cols.size(); ++k) {
@@ -306,12 +300,12 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
   std::vector<IterRt> iters(nsteps);
   for (std::size_t d = 0; d < nsteps; ++d) {
     keys[d] = p.steps[d].key_template_ids;
-    iters[d].list = &Relation::EmptyRowIds();
   }
   MatchStats local;
-  std::vector<std::uint32_t> derived;
+  // Head rows are appended to `out` directly and rolled back if the run
+  // is rejected at the end.
+  const std::size_t out_base = out->ids.size();
   std::size_t derived_count = 0;
-  const std::size_t head_arity = p.head.size();
   std::vector<std::uint32_t> neg_key;
 
   // Emit boundary, shared by kEmit and the fused superinstructions:
@@ -340,7 +334,7 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
       }
     }
     for (const TermDesc& t : p.head) {
-      derived.push_back(t.is_constant ? t.id : slots[t.index]);
+      out->ids.push_back(t.is_constant ? t.id : slots[t.index]);
     }
     ++derived_count;
   };
@@ -372,7 +366,10 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
             probe.bound_cols.size() == 1 ? prt.single.FindId(key[0])
                                          : prt.multi.FindIds(key);
         mr.lists[pi] = &rows;
-        est = rows.size();
+        const StepRt& at = srt[probe.atom];
+        est = at.old_only
+                  ? rows.size()
+                  : Relation::RowsInRange(rows, at.begin, at.end).size();
       }
       if (est < smallest_size) {
         smallest_size = est;
@@ -388,8 +385,8 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
       const std::vector<std::uint32_t>& c0 = rel.column(sp.var_cols[0]);
       std::vector<std::uint32_t>& proj = mr.proj[smallest];
       proj.clear();
-      for (std::uint32_t row_id : *mr.lists[smallest]) {
-        if (at.old_only && row_id >= at.limit) continue;
+      for (std::uint32_t row_id :
+           Relation::RowsInRange(*mr.lists[smallest], at.begin, at.end)) {
         ++local.tuples_scanned;
         const std::uint32_t id = c0[row_id];
         bool ok = true;
@@ -436,18 +433,10 @@ bool RunImpl(const Program& p, const Database& full, const Database* delta,
       ++local.index_lookups;
       std::vector<std::uint32_t>& ukey = mr.ukeys[pi];
       for (std::uint32_t pos : probe.union_var_positions) ukey[pos] = id;
-      const std::vector<std::uint32_t>& rows = prt.union_index.FindIds(ukey);
       const StepRt& at = srt[probe.atom];
-      if (at.old_only) {
-        bool found = false;
-        for (std::uint32_t row_id : rows) {
-          if (row_id < at.limit) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      } else if (rows.empty()) {
+      if (Relation::RowsInRange(prt.union_index.FindIds(ukey), at.begin,
+                                at.end)
+              .empty()) {
         return false;
       }
     }
@@ -516,14 +505,14 @@ vm_dispatch:
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
-    iters[ip->a].pos = 0;
+    iters[ip->a].pos = rt.begin;
     VM_NEXT();
   }
 
   VM_CASE(kLoopNext) {
     const StepRt& rt = srt[ip->a];
     IterRt& it = iters[ip->a];
-    if (it.pos >= rt.limit) VM_JUMP(ip->t);
+    if (it.pos >= rt.end) VM_JUMP(ip->t);
     it.row = static_cast<std::uint32_t>(it.pos++);
     ++local.tuples_scanned;
     VM_NEXT();
@@ -535,23 +524,17 @@ vm_dispatch:
     ++local.index_lookups;
     const std::vector<std::uint32_t>& key = keys[ip->a];
     IterRt& it = iters[ip->a];
-    it.list = rt.single_key ? &rt.single.FindId(key[0])
-                            : &rt.multi.FindIds(key);
+    it.list = Relation::RowsInRange(
+        rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key),
+        rt.begin, rt.end);
     it.pos = 0;
     VM_NEXT();
   }
 
   VM_CASE(kProbeNext) {
-    const StepRt& rt = srt[ip->a];
     IterRt& it = iters[ip->a];
-    const std::vector<std::uint32_t>& list = *it.list;
-    for (;;) {
-      if (it.pos >= list.size()) VM_JUMP(ip->t);
-      const std::uint32_t r = list[it.pos++];
-      if (rt.old_only && r >= rt.limit) continue;
-      it.row = r;
-      break;
-    }
+    if (it.pos >= it.list.size()) VM_JUMP(ip->t);
+    it.row = it.list[it.pos++];
     ++local.tuples_scanned;
     VM_NEXT();
   }
@@ -588,31 +571,14 @@ vm_dispatch:
     VM_NEXT();
   }
 
-  VM_CASE(kMember) {
+  VM_CASE(kMember)
+  VM_CASE(kMemberOld) {
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
     ++local.tuples_scanned;
-    if (!rt.rel->ContainsIds(keys[ip->a])) VM_JUMP(ip->t);
-    VM_NEXT();
-  }
-
-  VM_CASE(kMemberOld) {
-    const StepRt& rt = srt[ip->a];
-    if (rt.dead || !rt.has_view) VM_JUMP(ip->t);
-    ++local.index_lookups;
-    ++local.tuples_scanned;
-    const std::vector<std::uint32_t>& key = keys[ip->a];
-    const std::vector<std::uint32_t>& list =
-        rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key);
-    bool found = false;
-    for (std::uint32_t r : list) {
-      if (r < rt.limit) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) VM_JUMP(ip->t);
+    const std::uint32_t r = rt.rel->FindRowIdByIds(keys[ip->a]);
+    if (r == Relation::kNoRow || r < rt.begin || r >= rt.end) VM_JUMP(ip->t);
     VM_NEXT();
   }
 
@@ -648,10 +614,10 @@ vm_dispatch:
     if (!rt.dead) {
       ++local.index_lookups;
       const std::vector<std::uint32_t>& key = keys[ip->a];
-      const std::size_t limit = rt.limit;
       const std::size_t num_keys = rt.key_ptrs.size();
-      local.tuples_scanned += limit;  // every row below the limit is scanned
-      for (std::size_t r = 0; r < limit; ++r) {
+      const std::size_t end = rt.end;
+      local.tuples_scanned += end - rt.begin;  // every row is scanned
+      for (std::size_t r = rt.begin; r < end; ++r) {
         bool ok = true;
         for (std::size_t k = 0; k < num_keys; ++k) {
           if (rt.key_ptrs[k][r] != key[k]) {
@@ -679,16 +645,11 @@ vm_dispatch:
     if (!rt.dead && rt.has_view) {
       ++local.index_lookups;
       const std::vector<std::uint32_t>& key = keys[ip->a];
-      const std::vector<std::uint32_t>& list =
-          rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key);
-      const bool old_only = rt.old_only;
-      const std::size_t limit = rt.limit;
-      if (!old_only) local.tuples_scanned += list.size();
+      const std::span<const std::uint32_t> list = Relation::RowsInRange(
+          rt.single_key ? rt.single.FindId(key[0]) : rt.multi.FindIds(key),
+          rt.begin, rt.end);
+      local.tuples_scanned += list.size();
       for (std::uint32_t r : list) {
-        if (old_only) {
-          if (r >= limit) continue;
-          ++local.tuples_scanned;
-        }
         bool ok = true;
         for (const auto& [first, repeat] : rt.check_ptrs) {
           if (first[r] != repeat[r]) {
@@ -735,35 +696,29 @@ vm_done:
   // Reject derived ids the dictionary has never issued before anything
   // resolves them (possible only for hand-written programs reading
   // never-written slots; lowered programs bind every emitted slot).
-  for (std::uint32_t id : derived) {
-    if (id >= dict_size) return false;
+  for (std::size_t i = out_base; i < out->ids.size(); ++i) {
+    if (out->ids[i] >= dict_size) {
+      out->ids.resize(out_base);
+      return false;
+    }
   }
-  Relation& head_rel = out->MutableRelation(head_pred);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  for (std::size_t r = 0; r < derived_count; ++r) {
-    const std::uint32_t* base = derived.data() + r * head_arity;
-    row.assign(base, base + head_arity);
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
+  out->count += derived_count;
   if (stats != nullptr) stats->Add(local);
   return true;
 }
 
 }  // namespace
 
-bool Run(const Program& program, const Database& full, const Database* delta,
-         const OldLimits* old_limits, Database* out, MatchStats* stats,
-         std::size_t* new_facts, DispatchCounts* dispatch) {
+bool Run(const Program& program, const Database& full,
+         const DeltaRanges* delta, const OldLimits* old_limits,
+         DerivedRows* out, MatchStats* stats, DispatchCounts* dispatch) {
   if (dispatch != nullptr) {
     dispatch->fill(0);
     return RunImpl<true>(program, full, delta, old_limits, out, stats,
-                         new_facts, dispatch);
+                         dispatch);
   }
   return RunImpl<false>(program, full, delta, old_limits, out, stats,
-                        new_facts, nullptr);
+                        nullptr);
 }
 
 }  // namespace bytecode

@@ -24,7 +24,7 @@ void MatchFrame::Reset(const CompiledRule& plan) {
 
 CompiledRule CompiledRule::Compile(const Rule& rule, std::size_t delta_pos,
                                    bool use_old, const Database& full,
-                                   const Database* delta) {
+                                   const DeltaRanges* delta) {
   CompiledRule plan;
   plan.atoms_ = BuildDeltaPassAtoms(rule, delta_pos, use_old);
   plan.has_rule_ = true;
@@ -41,7 +41,7 @@ CompiledRule CompiledRule::Compile(const Rule& rule, std::size_t delta_pos,
 
 CompiledRule CompiledRule::CompileAtoms(std::vector<PlannedAtom> atoms,
                                         const Database& full,
-                                        const Database* delta) {
+                                        const DeltaRanges* delta) {
   CompiledRule plan;
   plan.atoms_ = std::move(atoms);
   plan.BuildSchedules(full, delta);
@@ -49,7 +49,7 @@ CompiledRule CompiledRule::CompileAtoms(std::vector<PlannedAtom> atoms,
 }
 
 void CompiledRule::BuildSchedules(const Database& full,
-                                  const Database* delta) {
+                                  const DeltaRanges* delta) {
   greedy_ = GreedyJoinOrderingEnabled();
   use_index_ = IndexLookupsEnabled();
   multiway_ = MultiwayJoinsEnabled();
@@ -81,10 +81,8 @@ void CompiledRule::BuildSchedules(const Database& full,
     step.predicate = atom.predicate();
     step.arity = atom.arity();
     step.source = planned.source;
-    const Database& src =
-        planned.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                                 : full;
-    step.planned_size = src.relation(atom.predicate()).size();
+    step.planned_size =
+        PlanningSize(planned.source, atom.predicate(), full, delta);
 
     std::unordered_set<VariableId> written_here;
     for (int i = 0; i < atom.arity(); ++i) {
@@ -287,7 +285,7 @@ void CompiledRule::BuildMultiwaySchedules(
 }
 
 bool CompiledRule::NeedsReplan(const Database& full,
-                               const Database* delta) const {
+                               const DeltaRanges* delta) const {
   if (greedy_ != GreedyJoinOrderingEnabled() ||
       use_index_ != IndexLookupsEnabled() ||
       multiway_ != MultiwayJoinsEnabled() ||
@@ -302,43 +300,53 @@ bool CompiledRule::NeedsReplan(const Database& full,
   // the fixed-order never-replan behavior.
   if (!greedy_ && !(multiway_ && use_index_ && mw_candidate_)) return false;
   for (const CompiledAtomStep& step : steps_) {
-    const Database& src =
-        step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                              : full;
     // Clamp to 1 so empty relations compare on the same log scale
     // instead of always forcing a replan.
-    const std::size_t now =
-        std::max<std::size_t>(src.relation(step.predicate).size(), 1);
+    const std::size_t now = std::max<std::size_t>(
+        PlanningSize(step.source, step.predicate, full, delta), 1);
     const std::size_t then = std::max<std::size_t>(step.planned_size, 1);
     if (now >= 4 * then || then >= 4 * now) return true;
   }
   return false;
 }
 
-void CompiledRule::Replan(const Database& full, const Database* delta) {
+void CompiledRule::Replan(const Database& full, const DeltaRanges* delta) {
   BuildSchedules(full, delta);
 }
 
+namespace {
+
+/// The rows EnsureIndexes prepares for: the step's range as Apply will
+/// resolve it, except that the old snapshot (whose limit EnsureIndexes is
+/// not told) counts as the whole relation.
+RowRange IndexedRange(const CompiledAtomStep& step, const Database& full,
+                      const DeltaRanges* delta) {
+  const AtomSource source =
+      step.source == AtomSource::kOld ? AtomSource::kFull : step.source;
+  return ResolveAtomSource(source, step.predicate, full, delta, nullptr);
+}
+
+/// True when a multiway root over `range` can use the relation's cached
+/// sorted distinct column keys: the range is the whole relation and not
+/// an old snapshot (whose limit EnsureIndexes cannot see, so it could not
+/// pre-build the cache for the parallel fan-out).
+bool RootFromSortedKeys(AtomSource source, const RowRange& range) {
+  return source != AtomSource::kOld && range.begin == 0 &&
+         range.end == range.rel->size();
+}
+
+}  // namespace
+
 void CompiledRule::EnsureIndexes(const Database& full,
-                                 const Database* delta) const {
+                                 const DeltaRanges* delta) const {
   if (!use_index_) return;  // knob off: Execute only scans
   for (const CompiledAtomStep& step : steps_) {
-    const Database& src =
-        step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                              : full;
-    const Relation& rel = src.relation(step.predicate);
-    if (rel.empty() || rel.arity() != step.arity) continue;
-    // Partially bound probes use the index; fully bound probes use set
-    // membership except against the old snapshot, which needs row ids
-    // (including the zero-arity case, whose degenerate empty-column
-    // index maps the empty key to every row). Unbound non-old atoms are
-    // full scans and probe nothing.
-    const bool fully_bound =
-        static_cast<int>(step.key_cols.size()) == step.arity;
-    if (fully_bound ? step.source == AtomSource::kOld
-                    : !step.key_cols.empty()) {
-      rel.EnsureIndex(step.key_cols);
-    }
+    const RowRange range = IndexedRange(step, full, delta);
+    if (range.empty() || range.rel->arity() != step.arity) continue;
+    // Partially bound probes use the full relation's index, restricted
+    // to the step's range; fully bound probes go through the dedup table
+    // and unbound ones are range scans, so neither needs an index.
+    if (ProbesIndex(step)) range.rel->EnsureIndex(step.key_cols);
   }
   // Multiway probes and root candidate lists (empty unless the plan
   // shape is kMultiway): pre-built so the parallel fan-out stays
@@ -348,18 +356,16 @@ void CompiledRule::EnsureIndexes(const Database& full,
   for (const MultiwayStep& mw_step : mw_steps_) {
     for (const MultiwayProbe& probe : mw_step.probes) {
       const CompiledAtomStep& step = steps_[probe.atom];
-      const Database& src =
-          step.source == AtomSource::kDelta && delta != nullptr ? *delta
-                                                                : full;
-      const Relation& rel = src.relation(step.predicate);
-      if (rel.empty() || rel.arity() != step.arity) continue;
+      const RowRange range = IndexedRange(step, full, delta);
+      const Relation& rel = *range.rel;
+      if (range.empty() || rel.arity() != step.arity) continue;
       if (probe.unconditional) {
-        if (step.source != AtomSource::kOld && probe.var_cols.size() == 1 &&
-            rel.columnar()) {
+        if (probe.var_cols.size() == 1 && rel.columnar() &&
+            RootFromSortedKeys(step.source, range)) {
           rel.EnsureSortedKeys(probe.var_cols[0]);
         }
-        // Old-snapshot and repeated-variable roots are built by scanning
-        // rows at Apply time: reads only, no index to pre-build.
+        // Other roots are built by scanning the range at Apply time:
+        // reads only, no index to pre-build.
       } else {
         rel.EnsureIndex(probe.bound_cols);
         // Membership seeks for probes that are not the iteration source
@@ -385,17 +391,17 @@ Tuple CompiledRule::InstantiateHeadFromFrame(const MatchFrame& frame) const {
   return tuple;
 }
 
-bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
-                              const OldLimits* old_limits, Database* out,
-                              MatchStats* stats,
-                              std::size_t* new_facts) const {
+bool CompiledRule::ApplyBatch(const Database& full, const DeltaRanges* delta,
+                              const OldLimits* old_limits, DerivedRows* out,
+                              MatchStats* stats) const {
   // Loop-invariant per-depth state, resolved exactly as Execute resolves
-  // MatchFrame::DepthSource -- same liveness rule, same limit, same
+  // MatchFrame::DepthSource -- same liveness rule, same row range, same
   // index-preparation condition -- so the two executors probe the same
   // structures in the same order.
   struct BatchSource {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     bool dead = false;
     bool fully_bound = false;
     Relation::SingleIndexView single_index;
@@ -404,27 +410,21 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
   std::vector<BatchSource> sources(steps_.size());
   for (std::size_t d = 0; d < steps_.size(); ++d) {
     const CompiledAtomStep& step = steps_[d];
-    const Database& src =
-        step.source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(step.predicate);
+    const RowRange range = ResolveAtomSource(step.source, step.predicate,
+                                             full, delta, old_limits);
+    const Relation& rel = *range.rel;
     BatchSource& bs = sources[d];
     bs.rel = &rel;
-    bs.limit = rel.size();
-    bs.dead = rel.empty() || rel.arity() != step.arity;
-    if (step.source == AtomSource::kOld && !bs.dead) {
-      bs.limit = OldLimitFor(old_limits, step.predicate);
-      bs.dead = bs.limit == 0;
-    }
+    bs.begin = range.begin;
+    bs.end = range.end;
+    bs.dead = range.empty() || rel.arity() != step.arity;
     // A live row-store relation (constructed before the knob flipped on)
     // has no id columns to scan: bail out before any counter moves and
-    // let Apply run the depth-first path instead.
+    // let Derive run the depth-first path instead.
     if (!bs.dead && !rel.columnar()) return false;
     bs.fully_bound =
         static_cast<int>(step.key_cols.size()) == step.arity;
-    const bool probes_index =
-        use_index_ && (bs.fully_bound ? step.source == AtomSource::kOld
-                                      : !step.key_cols.empty());
-    if (!bs.dead && probes_index) {
+    if (!bs.dead && ProbesIndex(step)) {
       if (step.key_cols.size() == 1) {
         bs.single_index = rel.PrepareSingleIndex(step.key_cols[0]);
       } else {
@@ -455,8 +455,6 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       break;
     }
     const Relation& rel = *bs.rel;
-    const bool old_only = step.source == AtomSource::kOld;
-    const std::size_t limit = bs.limit;
     key = step.key_template_ids;  // constants pre-filled
     next.clear();
     std::size_t next_count = 0;
@@ -487,26 +485,13 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (use_index_ && bs.fully_bound) {
-        // Fully bound: membership test; the old snapshot additionally
-        // needs a matching row below the limit.
+        // Fully bound: membership test. key_cols covers every column in
+        // order, so `key` is the full id row; the one row holding it
+        // must lie in the depth's range.
         if (stats != nullptr) ++stats->tuples_scanned;
-        bool matched = false;
-        if (old_only) {
-          const std::vector<std::uint32_t>& row_ids =
-              step.key_cols.size() == 1 ? bs.single_index.FindId(key[0])
-                                        : bs.multi_index.FindIds(key);
-          for (std::uint32_t row_id : row_ids) {
-            if (row_id < limit) {
-              matched = true;
-              break;
-            }
-          }
-        } else {
-          // key_cols covers every column in order, so `key` is the full
-          // id row.
-          matched = rel.ContainsIds(key);
-        }
-        if (matched) {
+        const std::uint32_t row_id = rel.FindRowIdByIds(key);
+        if (row_id != Relation::kNoRow && row_id >= bs.begin &&
+            row_id < bs.end) {
           // Survives unchanged: a fully bound atom writes no slot.
           next.resize((next_count + 1) * stride);
           if (stride != 0) {
@@ -519,7 +504,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (step.key_cols.empty()) {
-        for (std::size_t i = 0; i < limit; ++i) {
+        for (std::size_t i = bs.begin; i < bs.end; ++i) {
           if (stats != nullptr) ++stats->tuples_scanned;
           emit_row(slots, static_cast<std::uint32_t>(i));
         }
@@ -527,7 +512,7 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
       }
 
       if (!use_index_) {
-        for (std::size_t i = 0; i < limit; ++i) {
+        for (std::size_t i = bs.begin; i < bs.end; ++i) {
           if (stats != nullptr) ++stats->tuples_scanned;
           bool matches = true;
           for (std::size_t k = 0; k < step.key_cols.size(); ++k) {
@@ -541,11 +526,11 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
         continue;
       }
 
-      const std::vector<std::uint32_t>& row_ids =
+      const std::vector<std::uint32_t>& postings =
           step.key_cols.size() == 1 ? bs.single_index.FindId(key[0])
                                     : bs.multi_index.FindIds(key);
-      for (std::uint32_t row_id : row_ids) {
-        if (old_only && row_id >= limit) continue;
+      for (std::uint32_t row_id :
+           Relation::RowsInRange(postings, bs.begin, bs.end)) {
         if (stats != nullptr) ++stats->tuples_scanned;
         emit_row(slots, row_id);
       }
@@ -555,15 +540,10 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
     cur_count = next_count;
   }
 
-  // Emit boundary: the only place ids meet Values again -- and even here
-  // only inside InsertIds for genuinely new rows. Negated literals are
-  // probed in id space against `full` (ContainsIds handles a row-store
-  // relation, so negation over a predicate the plan never steps through
-  // is safe on either backend). Derivations are buffered until the
-  // enumeration is fully consumed because `out` may alias `full`.
-  std::vector<std::uint32_t> derived_ids;
-  std::size_t derived_count = 0;
-  const std::size_t head_arity = head_terms_.size();
+  // Emit boundary: negated literals are probed in id space against
+  // `full` (ContainsIds handles a row-store relation, so negation over a
+  // predicate the plan never steps through is safe on either backend),
+  // and surviving head rows are appended to `out` in frontier order.
   std::vector<std::uint32_t> neg_key;
   for (std::size_t f = 0; f < cur_count; ++f) {
     const std::uint32_t* slots = cur.data() + f * stride;
@@ -582,64 +562,48 @@ bool CompiledRule::ApplyBatch(const Database& full, const Database* delta,
     }
     if (excluded) continue;
     for (const CompiledTerm& t : head_terms_) {
-      derived_ids.push_back(t.is_constant
-                                ? t.value_id
-                                : slots[static_cast<std::size_t>(t.slot)]);
+      out->ids.push_back(t.is_constant
+                             ? t.value_id
+                             : slots[static_cast<std::size_t>(t.slot)]);
     }
-    ++derived_count;
+    ++out->count;
   }
-
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  Relation& head_rel = out->MutableRelation(head_predicate_);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  for (std::size_t i = 0; i < derived_count; ++i) {
-    for (std::size_t k = 0; k < head_arity; ++k) {
-      row[k] = derived_ids[i * head_arity + k];
-    }
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
   return true;
 }
 
-bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
-                                 const OldLimits* old_limits, Database* out,
-                                 MatchStats* stats,
-                                 std::size_t* new_facts) const {
+bool CompiledRule::ApplyMultiway(const Database& full,
+                                 const DeltaRanges* delta,
+                                 const OldLimits* old_limits, DerivedRows* out,
+                                 MatchStats* stats) const {
   // Per-atom runtime state, resolved like ApplyBatch's BatchSource (same
-  // liveness rule, same old-snapshot limit).
+  // liveness rule, same row range).
   struct AtomRt {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     bool old_only = false;
     bool dead = false;
   };
   std::vector<AtomRt> atoms_rt(steps_.size());
   for (std::size_t d = 0; d < steps_.size(); ++d) {
     const CompiledAtomStep& step = steps_[d];
-    const Database& src = step.source == AtomSource::kDelta ? *delta : full;
-    const Relation& rel = src.relation(step.predicate);
+    const RowRange range = ResolveAtomSource(step.source, step.predicate,
+                                             full, delta, old_limits);
+    const Relation& rel = *range.rel;
     AtomRt& at = atoms_rt[d];
     at.rel = &rel;
-    at.limit = rel.size();
+    at.begin = range.begin;
+    at.end = range.end;
     at.old_only = step.source == AtomSource::kOld;
-    at.dead = rel.empty() || rel.arity() != step.arity;
-    if (at.old_only && !at.dead) {
-      at.limit = OldLimitFor(old_limits, step.predicate);
-      at.dead = at.limit == 0;
-    }
+    at.dead = range.empty() || rel.arity() != step.arity;
     // A live row-store relation has no id columns to intersect: bail out
-    // before any counter moves and let Apply fall back to Execute.
+    // before any counter moves and let Derive fall back to Execute.
     if (!at.dead && !rel.columnar()) return false;
   }
   for (const AtomRt& at : atoms_rt) {
-    if (at.dead) {
-      // Every atom participates in every intersection, so one dead atom
-      // kills every match before any probe happens.
-      *new_facts = 0;
-      return true;
-    }
+    // Every atom participates in every intersection, so one dead atom
+    // kills every match before any probe happens.
+    if (at.dead) return true;
   }
 
   // Per-probe runtime state: an index view for bound probes, a root
@@ -672,18 +636,20 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         rt.union_index = rel.PrepareIndex(probe.union_cols);
         continue;
       }
-      if (!at.old_only && probe.var_cols.size() == 1) {
-        // kFull/kDelta cover all rows, so the cached sorted distinct
+      if (probe.var_cols.size() == 1 &&
+          RootFromSortedKeys(steps_[probe.atom].source,
+                             RowRange{&rel, at.begin, at.end})) {
+        // The range is the whole relation, so the cached sorted distinct
         // column keys are exactly the candidate list.
         rt.root = &rel.SortedColumnKeys(probe.var_cols[0]);
         continue;
       }
-      // Old snapshot (limit may stop short of the cache) or repeated
-      // variable: scan rows [0, limit) once per Apply.
+      // A part of the relation (old snapshot, delta range) or a repeated
+      // variable: scan rows [begin, end) once per Apply.
       owned_roots.emplace_back();
       std::vector<std::uint32_t>& list = owned_roots.back();
       const std::vector<std::uint32_t>& c0 = rel.column(probe.var_cols[0]);
-      for (std::size_t i = 0; i < at.limit; ++i) {
+      for (std::size_t i = at.begin; i < at.end; ++i) {
         const std::uint32_t id = c0[i];
         bool ok = true;
         for (std::size_t k = 1; k < probe.var_cols.size(); ++k) {
@@ -716,14 +682,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
   }
 
   std::vector<std::uint32_t> slots(static_cast<std::size_t>(num_slots_), 0);
-  std::vector<std::uint32_t> derived_ids;
-  std::size_t derived_count = 0;
-  const std::size_t head_arity = head_terms_.size();
   std::vector<std::uint32_t> neg_key;
 
   // Emit boundary: identical in structure to ApplyBatch's -- bump
   // substitutions per complete assignment, test negation in id space,
-  // buffer the head row (out may alias full).
+  // append the head row.
   auto emit = [&]() {
     if (stats != nullptr) ++stats->substitutions;
     for (std::size_t i = 0; i < negated_terms_.size(); ++i) {
@@ -736,11 +699,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
       if (full.relation(negated_preds_[i]).ContainsIds(neg_key)) return;
     }
     for (const CompiledTerm& t : head_terms_) {
-      derived_ids.push_back(t.is_constant
-                                ? t.value_id
-                                : slots[static_cast<std::size_t>(t.slot)]);
+      out->ids.push_back(t.is_constant
+                             ? t.value_id
+                             : slots[static_cast<std::size_t>(t.slot)]);
     }
-    ++derived_count;
+    ++out->count;
   };
 
   // Generic join: per variable, seek each containing atom's candidate
@@ -760,9 +723,11 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     const MultiwayStep& step = mw_steps_[depth];
     const std::size_t num_probes = step.probes.size();
 
-    // Election pass: one seek per probe to size its candidate set. The
-    // posting size over-counts for old snapshots and repeated variables
-    // (filtering happens at projection time), but only as an estimate.
+    // Election pass: one seek per probe to size its candidate set: the
+    // postings inside the atom's range, except that an old snapshot is
+    // estimated by its whole posting list. Repeated variables over-count
+    // too (filtering happens at projection time), but only as an
+    // estimate.
     std::size_t smallest = 0;
     std::size_t smallest_size = std::numeric_limits<std::size_t>::max();
     for (std::size_t p = 0; p < num_probes; ++p) {
@@ -784,7 +749,10 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
             probe.bound_cols.size() == 1 ? rt.single.FindId(key[0])
                                          : rt.multi.FindIds(key);
         lists[depth][p] = &row_ids;  // row ids, pending projection
-        est = row_ids.size();
+        const AtomRt& at = atoms_rt[probe.atom];
+        est = at.old_only
+                  ? row_ids.size()
+                  : Relation::RowsInRange(row_ids, at.begin, at.end).size();
       }
       if (est < smallest_size) {
         smallest_size = est;
@@ -804,8 +772,8 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
           rel.column(src_probe.var_cols[0]);
       std::vector<std::uint32_t>& out_list = proj[depth][smallest];
       out_list.clear();
-      for (std::uint32_t row_id : *lists[depth][smallest]) {
-        if (at.old_only && row_id >= at.limit) continue;
+      for (std::uint32_t row_id : Relation::RowsInRange(
+               *lists[depth][smallest], at.begin, at.end)) {
         if (stats != nullptr) ++stats->tuples_scanned;
         const std::uint32_t id = c0[row_id];
         bool ok = true;
@@ -853,20 +821,10 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
         for (const int pos : probe.union_var_positions) {
           ukey[static_cast<std::size_t>(pos)] = id;
         }
-        const std::vector<std::uint32_t>& rows =
-            rt.union_index.FindIds(ukey);
         const AtomRt& at = atoms_rt[probe.atom];
-        if (at.old_only) {
-          in_all = false;
-          for (const std::uint32_t row_id : rows) {
-            if (row_id < at.limit) {
-              in_all = true;
-              break;
-            }
-          }
-        } else {
-          in_all = !rows.empty();
-        }
+        in_all = !Relation::RowsInRange(rt.union_index.FindIds(ukey),
+                                        at.begin, at.end)
+                      .empty();
       }
       if (!in_all) continue;
       slots[static_cast<std::size_t>(step.slot)] = id;
@@ -874,90 +832,73 @@ bool CompiledRule::ApplyMultiway(const Database& full, const Database* delta,
     }
   };
   enumerate(enumerate, 0);
-
-  std::size_t added = 0;
-  std::vector<std::uint32_t> row(head_arity);
-  Relation& head_rel = out->MutableRelation(head_predicate_);
-  if (head_rel.columnar()) head_rel.ReserveRows(derived_count);
-  for (std::size_t i = 0; i < derived_count; ++i) {
-    for (std::size_t k = 0; k < head_arity; ++k) {
-      row[k] = derived_ids[i * head_arity + k];
-    }
-    if (head_rel.InsertIds(row)) ++added;
-  }
-  *new_facts = added;
   return true;
 }
 
-std::size_t CompiledRule::Apply(const Database& full, const Database* delta,
-                                const OldLimits* old_limits, Database* out,
-                                MatchStats* stats) const {
+void CompiledRule::Derive(const Database& full, const DeltaRanges* delta,
+                          const OldLimits* old_limits, DerivedRows* out,
+                          MatchStats* stats) const {
   // Bytecode fast path: the lowered program run by the computed-goto VM,
   // covering both plan shapes. Run returns false -- before bumping any
-  // counter or inserting anything -- when a live relation is not
+  // counter or deriving anything -- when a live relation is not
   // columnar, in which case the struct executors below re-resolve and
   // take over (they re-check the same condition). The knob is consulted
-  // per Apply rather than snapshotted into the plan, so flipping it
+  // per Derive rather than snapshotted into the plan, so flipping it
   // never replans.
   if (!bc_.empty() && BytecodeExecutionEnabled() && ColumnarStorageEnabled()) {
-    std::size_t vm_facts = 0;
     if (MetricsRegistry::Get().enabled()) {
       bytecode::DispatchCounts counts;
-      if (bytecode::Run(bc_, full, delta, old_limits, out, stats, &vm_facts,
-                        &counts)) {
+      if (bytecode::Run(bc_, full, delta, old_limits, out, stats, &counts)) {
         bytecode::PublishDispatchCounts(counts);
-        return vm_facts;
+        return;
       }
-    } else if (bytecode::Run(bc_, full, delta, old_limits, out, stats,
-                             &vm_facts)) {
-      return vm_facts;
+    } else if (bytecode::Run(bc_, full, delta, old_limits, out, stats)) {
+      return;
     }
   }
   // Multiway plan shape: the worst-case-optimal intersection executor.
-  // Derives the same fact set and the same substitution count as the
+  // Derives the same rows and the same substitution count as the
   // left-deep executors (assignments, not row visits, are what both
   // count), but probe/scan counters measure the shape's own work.
-  if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled()) {
-    std::size_t mw_facts = 0;
-    if (ApplyMultiway(full, delta, old_limits, out, stats, &mw_facts)) {
-      return mw_facts;
-    }
+  if (shape_ == PlanShape::kMultiway && ColumnarStorageEnabled() &&
+      ApplyMultiway(full, delta, old_limits, out, stats)) {
+    return;
   }
   // Vectorized fast path: only when the plan qualifies (batch_ok_), the
   // columnar knob is on, and -- checked inside -- every live relation is
   // columnar. An empty body stays on Execute, whose no-step epilogue
   // already handles it. Counters, derivation order and results are
   // bit-identical between the two paths.
-  if (batch_ok_ && !steps_.empty() && ColumnarStorageEnabled()) {
-    std::size_t batch_facts = 0;
-    if (ApplyBatch(full, delta, old_limits, out, stats, &batch_facts)) {
-      return batch_facts;
-    }
+  if (batch_ok_ && !steps_.empty() && ColumnarStorageEnabled() &&
+      ApplyBatch(full, delta, old_limits, out, stats)) {
+    return;
   }
-  // Derived tuples are buffered and inserted only after the enumeration
-  // finishes: `out` may alias `full`, and inserting while the matcher is
-  // iterating rows/indexes of the same relation would invalidate them.
-  std::vector<Tuple> derived;
   MatchFrame frame(*this);
   Tuple scratch;
-  Execute(full, delta, old_limits, &frame, stats,
-          [&](const MatchFrame& f) {
-            if (!NegationHolds(full, f, &scratch)) return true;
-            derived.push_back(InstantiateHeadFromFrame(f));
-            return true;
-          });
-  std::size_t new_facts = 0;
-  for (Tuple& tuple : derived) {
-    if (out->AddFact(head_predicate_, std::move(tuple))) ++new_facts;
-  }
-  return new_facts;
+  std::vector<std::uint32_t> ids;
+  ValueDictionary& dict = ValueDictionary::Global();
+  Execute(full, delta, old_limits, &frame, stats, [&](const MatchFrame& f) {
+    if (!NegationHolds(full, f, &scratch)) return true;
+    dict.InternRow(InstantiateHeadFromFrame(f), &ids);
+    out->ids.insert(out->ids.end(), ids.begin(), ids.end());
+    ++out->count;
+    return true;
+  });
+}
+
+std::size_t CompiledRule::Apply(const Database& full, const DeltaRanges* delta,
+                                const OldLimits* old_limits, Database* out,
+                                MatchStats* stats) const {
+  DerivedRows derived;
+  Derive(full, delta, old_limits, &derived, stats);
+  return EmitDerived(derived, head_predicate_, out, stats);
 }
 
 const CompiledRule& CompiledRuleCache::Get(std::size_t rule_index,
                                            const Rule& rule,
                                            std::size_t delta_pos,
                                            bool use_old, const Database& full,
-                                           const Database* delta) {
+                                           const DeltaRanges* delta) {
   CompiledRule& plan = plans_[std::make_tuple(rule_index, delta_pos, use_old)];
   if (!plan.compiled()) {
     plan = CompiledRule::Compile(rule, delta_pos, use_old, full, delta);

@@ -48,7 +48,7 @@ struct CompiledAtomStep {
   std::vector<KeyFill> key_fill;
   std::vector<SlotRef> writes;
   std::vector<SlotRef> checks;
-  std::size_t planned_size = 0;  // source relation size at plan time
+  std::size_t planned_size = 0;  // PlanningSize at plan time
 
   // Columnar batch-probe mirrors of the schedules above, precomputed at
   // compile time so the batch executor never touches a Value:
@@ -122,12 +122,13 @@ struct MatchFrame {
 
   /// Loop-invariant per-depth source state, resolved once per Execute
   /// instead of once per visit: the relation pointer (a hash lookup in
-  /// Database), the scan limit, whether the depth can match at all, and
-  /// -- for indexed probes -- a direct view of the index, skipping the
-  /// per-probe index-map find inside Relation::Lookup.
+  /// Database), the depth's row range, whether the depth can match at
+  /// all, and -- for indexed probes -- a direct view of the index,
+  /// skipping the per-probe index-map find inside Relation::Lookup.
   struct DepthSource {
     const Relation* rel = nullptr;
-    std::size_t limit = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     bool dead = false;
     Relation::SingleIndexView single_index;
     Relation::MultiIndexView multi_index;
@@ -155,13 +156,13 @@ class CompiledRule {
   /// Compiles the delta-pass variant of `rule` (see BuildDeltaPassAtoms).
   static CompiledRule Compile(const Rule& rule, std::size_t delta_pos,
                               bool use_old, const Database& full,
-                              const Database* delta);
+                              const DeltaRanges* delta);
 
   /// Compiles a bare atom list (the MatchAtoms adapter): no head, no
   /// negated literals.
   static CompiledRule CompileAtoms(std::vector<PlannedAtom> atoms,
                                    const Database& full,
-                                   const Database* delta);
+                                   const DeltaRanges* delta);
 
   bool compiled() const { return compiled_; }
 
@@ -170,30 +171,37 @@ class CompiledRule {
   /// >= 4x since planning -- one step of the greedy planner's own
   /// selectivity granularity (cost /= 4 per bound column), below which a
   /// new plan could not change the order anyway.
-  bool NeedsReplan(const Database& full, const Database* delta) const;
+  bool NeedsReplan(const Database& full, const DeltaRanges* delta) const;
 
   /// Recomputes the join order and all schedules against current sizes.
-  void Replan(const Database& full, const Database* delta);
+  void Replan(const Database& full, const DeltaRanges* delta);
 
   /// Pre-builds every index Execute can probe, making a subsequent
   /// Execute/Apply read-only on the relations (frozen-snapshot contract).
-  void EnsureIndexes(const Database& full, const Database* delta) const;
+  void EnsureIndexes(const Database& full, const DeltaRanges* delta) const;
 
-  /// Enumerates body matches and inserts instantiated heads into `out`
-  /// (negated literals are tested against `full`). Derived tuples are
-  /// buffered until the enumeration finishes, so `out` may alias `full`.
-  /// Returns the number of facts new in `out`. Only valid for plans
-  /// compiled from a Rule.
+  /// Enumerates body matches and appends the instantiated head rows --
+  /// one per match whose negated literals are absent from `full`,
+  /// duplicates included -- to `out`. Every body atom reads a row range
+  /// (ResolveAtomSource): the full relation, its old prefix, or its
+  /// delta range. Only valid for plans compiled from a Rule.
   ///
-  /// When the columnar storage knob is on and every relation the plan
-  /// touches is columnar, Apply dispatches to the vectorized batch-probe
-  /// executor (ApplyBatch): level-at-a-time enumeration over flat u32
-  /// frames with branch-light filters on the raw column arrays. The
-  /// batch path visits candidate rows in exactly the depth-first order
-  /// Execute does, replicates MatchStats bump for bump, and inserts
-  /// derived facts in the same order, so the two executors are
-  /// bit-for-bit interchangeable (tests/integration enforces this).
-  std::size_t Apply(const Database& full, const Database* delta,
+  /// Dispatches to the bytecode VM, then the struct executors: the
+  /// multiway intersection (ApplyMultiway), the vectorized batch-probe
+  /// executor (ApplyBatch: level-at-a-time enumeration over flat u32
+  /// frames with branch-light filters on the raw column arrays), and the
+  /// depth-first Execute as the fallback. All of them visit candidate
+  /// rows in the same order, replicate MatchStats bump for bump and
+  /// derive rows in the same order, so they are bit-for-bit
+  /// interchangeable (tests/integration enforces this).
+  void Derive(const Database& full, const DeltaRanges* delta,
+              const OldLimits* old_limits, DerivedRows* out,
+              MatchStats* stats) const;
+
+  /// Derive, then insert the rows into `out` (EmitDerived). Derivation
+  /// finishes before the first insert, so `out` may alias `full`.
+  /// Returns the number of facts new in `out`.
+  std::size_t Apply(const Database& full, const DeltaRanges* delta,
                     const OldLimits* old_limits, Database* out,
                     MatchStats* stats) const;
 
@@ -201,7 +209,7 @@ class CompiledRule {
   /// return false to stop early). Counter semantics are identical to the
   /// legacy Matcher, row for row.
   template <typename Sink>
-  void Execute(const Database& full, const Database* delta,
+  void Execute(const Database& full, const DeltaRanges* delta,
                const OldLimits* old_limits, MatchFrame* frame,
                MatchStats* stats, Sink&& sink) const {
     if (steps_.empty()) {
@@ -209,7 +217,7 @@ class CompiledRule {
       sink(*frame);
       return;
     }
-    // Resolve each depth's relation, scan limit, and viability once: all
+    // Resolve each depth's relation, row range, and viability once: all
     // three are invariant for the whole enumeration (no insert happens
     // while matching), and resolving them per visit would cost a hash
     // lookup per parent row per depth. A dead depth still lets shallower
@@ -217,30 +225,19 @@ class CompiledRule {
     // returns do.
     for (std::size_t d = 0; d < steps_.size(); ++d) {
       const CompiledAtomStep& step = steps_[d];
-      const Database& src =
-          step.source == AtomSource::kDelta ? *delta : full;
-      const Relation& rel = src.relation(step.predicate);
+      const RowRange range = ResolveAtomSource(step.source, step.predicate,
+                                               full, delta, old_limits);
+      const Relation& rel = *range.rel;
       MatchFrame::DepthSource& ds = frame->sources[d];
       ds.rel = &rel;
-      ds.limit = rel.size();
-      ds.dead = rel.empty() || rel.arity() != step.arity;
-      if (step.source == AtomSource::kOld && !ds.dead) {
-        ds.limit = OldLimitFor(old_limits, step.predicate);
-        ds.dead = ds.limit == 0;
-      }
+      ds.begin = range.begin;
+      ds.end = range.end;
+      ds.dead = range.empty() || rel.arity() != step.arity;
       // Prepare index views for exactly the probes Step will issue (the
       // same condition EnsureIndexes pre-builds for): partially bound
-      // indexed probes, and fully bound ones on the old snapshot -- where
-      // "fully bound" includes the zero-arity case, whose degenerate
-      // empty-column index maps the empty key to every row, exactly as
-      // the legacy matcher's Lookup did. The current-state membership
-      // test uses Contains and needs no view.
-      const bool fully_bound =
-          static_cast<int>(step.key_cols.size()) == step.arity;
-      const bool probes_index =
-          use_index_ && (fully_bound ? step.source == AtomSource::kOld
-                                     : !step.key_cols.empty());
-      if (!ds.dead && probes_index) {
+      // indexed probes. Fully bound probes find their one candidate row
+      // through the dedup table and need no view.
+      if (!ds.dead && ProbesIndex(step)) {
         if (step.key_cols.size() == 1) {
           ds.single_index = rel.PrepareSingleIndex(step.key_cols[0]);
         } else {
@@ -294,16 +291,23 @@ class CompiledRule {
   friend struct MatchFrame;
   friend bytecode::Program bytecode::Lower(const CompiledRule& plan);
 
-  void BuildSchedules(const Database& full, const Database* delta);
+  void BuildSchedules(const Database& full, const DeltaRanges* delta);
 
-  /// Vectorized executor behind Apply: per join depth, expand the whole
+  /// True when `step`'s probe reads an index: partially bound atoms with
+  /// the index knob on. Fully bound atoms test the dedup table instead.
+  bool ProbesIndex(const CompiledAtomStep& step) const {
+    return use_index_ && !step.key_cols.empty() &&
+           static_cast<int>(step.key_cols.size()) != step.arity;
+  }
+
+  /// Vectorized executor behind Derive: per join depth, expand the whole
   /// frontier of candidate frames at once against the raw id columns.
-  /// Returns false -- before bumping any counter or inserting anything --
+  /// Returns false -- before bumping any counter or deriving anything --
   /// when some live relation is not columnar (a knob flipped mid-stream),
-  /// in which case Apply falls back to the depth-first Execute path.
-  bool ApplyBatch(const Database& full, const Database* delta,
-                  const OldLimits* old_limits, Database* out,
-                  MatchStats* stats, std::size_t* new_facts) const;
+  /// in which case Derive falls back to the depth-first Execute path.
+  bool ApplyBatch(const Database& full, const DeltaRanges* delta,
+                  const OldLimits* old_limits, DerivedRows* out,
+                  MatchStats* stats) const;
 
   /// Builds the multiway variable order and per-step probe schedules
   /// (called by BuildSchedules after it selects PlanShape::kMultiway).
@@ -315,22 +319,15 @@ class CompiledRule {
       const std::vector<PlannedAtom>& order,
       const std::unordered_map<VariableId, int>& slot_of);
 
-  /// Generic worst-case-optimal executor behind Apply when the plan
+  /// Generic worst-case-optimal executor behind Derive when the plan
   /// shape is kMultiway: iterates variables in the plan's fixed order,
   /// intersecting sorted candidate-id lists contributed by every atom
   /// containing the variable. Returns false -- before bumping any
-  /// counter or inserting anything -- when some live relation is not
-  /// columnar, in which case Apply falls back to the left-deep path.
-  bool ApplyMultiway(const Database& full, const Database* delta,
-                     const OldLimits* old_limits, Database* out,
-                     MatchStats* stats, std::size_t* new_facts) const;
-
-  static std::size_t OldLimitFor(const OldLimits* old_limits,
-                                 PredicateId pred) {
-    if (old_limits == nullptr) return 0;
-    auto it = old_limits->find(pred);
-    return it == old_limits->end() ? 0 : it->second;
-  }
+  /// counter or deriving anything -- when some live relation is not
+  /// columnar, in which case Derive falls back to the left-deep path.
+  bool ApplyMultiway(const Database& full, const DeltaRanges* delta,
+                     const OldLimits* old_limits, DerivedRows* out,
+                     MatchStats* stats) const;
 
   static void FillTerms(const std::vector<CompiledTerm>& terms,
                         const MatchFrame& frame, Tuple* out) {
@@ -355,14 +352,12 @@ class CompiledRule {
     }
     const MatchFrame::DepthSource& ds = frame.sources[depth];
     if (ds.dead) {
-      // Empty relation, arity mismatch, or an exhausted old snapshot: no
-      // matches, and no counter bump (matching the legacy early returns).
+      // Empty range or arity mismatch: no matches, and no counter bump
+      // (matching the legacy early returns).
       return true;
     }
     const CompiledAtomStep& step = steps_[depth];
     const Relation& rel = *ds.rel;
-    const bool old_only = step.source == AtomSource::kOld;
-    const std::size_t limit = ds.limit;
     if (stats != nullptr) ++stats->index_lookups;
 
     Tuple& key = frame.keys[depth];
@@ -373,21 +368,12 @@ class CompiledRule {
 
     if (use_index_ &&
         static_cast<int>(step.key_cols.size()) == step.arity) {
-      // Fully bound: membership test. The old snapshot additionally
-      // needs the matching row to predate the limit.
+      // Fully bound: membership test -- the one row holding the key must
+      // lie in the depth's range.
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (old_only) {
-        const std::vector<std::uint32_t>& row_ids =
-            step.key_cols.size() == 1 ? ds.single_index.Find(key[0])
-                                      : ds.multi_index.Find(key);
-        for (std::uint32_t row_id : row_ids) {
-          if (row_id < limit) {
-            return Step(depth + 1, frame, stats, sink);
-          }
-        }
-        return true;
-      }
-      if (rel.Contains(key)) {
+      const std::uint32_t row_id = rel.FindRowId(key);
+      if (row_id != Relation::kNoRow && row_id >= ds.begin &&
+          row_id < ds.end) {
         return Step(depth + 1, frame, stats, sink);
       }
       return true;
@@ -408,7 +394,7 @@ class CompiledRule {
     };
 
     if (step.key_cols.empty()) {
-      for (std::size_t i = 0; i < limit; ++i) {
+      for (std::size_t i = ds.begin; i < ds.end; ++i) {
         if (stats != nullptr) ++stats->tuples_scanned;
         if (!try_row(rel.row(i))) return false;
       }
@@ -416,7 +402,7 @@ class CompiledRule {
     }
 
     if (!use_index_) {
-      for (std::size_t i = 0; i < limit; ++i) {
+      for (std::size_t i = ds.begin; i < ds.end; ++i) {
         const Tuple& row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
@@ -431,11 +417,11 @@ class CompiledRule {
       return true;
     }
 
-    const std::vector<std::uint32_t>& row_ids =
+    const std::vector<std::uint32_t>& postings =
         step.key_cols.size() == 1 ? ds.single_index.Find(key[0])
                                   : ds.multi_index.Find(key);
-    for (std::uint32_t row_id : row_ids) {
-      if (old_only && row_id >= limit) continue;
+    for (std::uint32_t row_id :
+         Relation::RowsInRange(postings, ds.begin, ds.end)) {
       if (stats != nullptr) ++stats->tuples_scanned;
       if (!try_row(rel.row(row_id))) return false;
     }
@@ -484,7 +470,7 @@ class CompiledRuleCache {
  public:
   const CompiledRule& Get(std::size_t rule_index, const Rule& rule,
                           std::size_t delta_pos, bool use_old,
-                          const Database& full, const Database* delta);
+                          const Database& full, const DeltaRanges* delta);
 
   std::size_t size() const { return plans_.size(); }
 

@@ -26,24 +26,6 @@ bool Database::AddFactIds(PredicateId pred,
   return MutableRelation(pred).InsertIds(ids);
 }
 
-std::size_t Database::AddRowRange(PredicateId pred, const Relation& rel,
-                                  std::size_t begin, std::size_t end) {
-  if (begin >= end) return 0;
-  Relation& dst = MutableRelation(pred);
-  std::size_t added = 0;
-  if (rel.columnar() && dst.columnar()) {
-    dst.ReserveRows(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (dst.AppendRowFrom(rel, i)) ++added;
-    }
-    return added;
-  }
-  for (std::size_t i = begin; i < end; ++i) {
-    if (dst.Insert(rel.row(i))) ++added;
-  }
-  return added;
-}
-
 Status Database::AddAtom(const Atom& atom) {
   Tuple tuple;
   tuple.reserve(atom.args().size());
@@ -103,9 +85,7 @@ std::size_t Database::NumFacts() const {
 std::size_t Database::UnionWith(const Database& other) {
   std::size_t added = 0;
   for (const auto& [pred, rel] : other.relations_) {
-    // Id-space copy when both sides are columnar (AddRowRange falls
-    // back to Tuple insertion otherwise).
-    added += AddRowRange(pred, rel, 0, rel.size());
+    if (!rel.empty()) added += MutableRelation(pred).UnionWith(rel);
   }
   return added;
 }

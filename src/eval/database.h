@@ -34,14 +34,6 @@ class Database {
   /// relation). Returns true if it is new.
   bool AddFactIds(PredicateId pred, const std::vector<std::uint32_t>& ids);
 
-  /// Appends rows [begin, end) of `rel` as facts of `pred`, preserving
-  /// their order; returns how many were new. When both `rel` and the
-  /// destination relation are columnar the copy stays in id space (no
-  /// Value hashing, no dictionary round-trip) -- this is how the
-  /// semi-naive drivers cut deltas and shards out of the full database.
-  std::size_t AddRowRange(PredicateId pred, const Relation& rel,
-                          std::size_t begin, std::size_t end);
-
   /// The relation for `pred`, created (empty, at the arity the symbol
   /// table declares) if no fact was ever added. The returned reference
   /// is the live storage: engine fast paths hoist it out of their emit

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <map>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -29,12 +28,13 @@ std::uint64_t ElapsedNs(Clock::time_point start) {
           .count());
 }
 
-/// Delta relations are split into contiguous row shards so one hot
-/// (rule, delta-position) pass -- the whole round, for linear rules like
-/// transitive closure -- still decomposes into enough independent tasks
-/// to keep every worker busy. The shard count depends only on the delta
-/// contents, never on the thread count, so the task list (and therefore
-/// the merge order and all derived stats) is identical at any parallelism.
+/// Delta ranges are split into contiguous row sub-ranges (shards) so one
+/// hot (rule, delta-position) pass -- the whole round, for linear rules
+/// like transitive closure -- still decomposes into enough independent
+/// tasks to keep every worker busy. The shard count depends only on the
+/// delta's length, never on the thread count, so the task list (and
+/// therefore the merge order and all derived stats) is identical at any
+/// parallelism.
 constexpr std::size_t kMinShardRows = 64;
 constexpr std::size_t kMaxShards = 16;
 
@@ -48,8 +48,8 @@ std::size_t ShardCount(std::size_t rows) {
 struct PassTask {
   std::size_t rule_index;
   std::size_t delta_pos;
-  const Database* delta_shard;
-  Database out;       // task-local derivation buffer
+  DeltaRanges delta_shard;  // the delta predicate's shard sub-range
+  DerivedRows out;    // task-local derivation buffer, duplicates included
   MatchStats match;   // task-local join counters
   // Compiled plan resolved during prep (null on the legacy-matcher
   // ablation path); shared read-only across all shards of the pass.
@@ -64,8 +64,9 @@ struct PassTask {
 /// This is a superset of the probes actually issued: the matcher may
 /// abandon a prefix with no matches, but never probes a column set this
 /// walk does not cover.
-void EnsureIndexesForPass(const Database& full, const Database& delta_shard,
-                          const Rule& rule, std::size_t delta_pos) {
+void EnsureIndexesForPass(const Database& full,
+                          const DeltaRanges& delta_shard, const Rule& rule,
+                          std::size_t delta_pos) {
   if (!IndexLookupsEnabled()) return;
   std::vector<PlannedAtom> atoms =
       BuildDeltaPassAtoms(rule, delta_pos, /*use_old=*/true);
@@ -73,10 +74,13 @@ void EnsureIndexesForPass(const Database& full, const Database& delta_shard,
   std::unordered_set<VariableId> bound;
   for (const PlannedAtom& planned : order) {
     const Atom& atom = planned.atom;
-    const Database& src =
-        planned.source == AtomSource::kDelta ? delta_shard : full;
-    const Relation& rel = src.relation(atom.predicate());
-    if (rel.empty() || rel.arity() != atom.arity()) {
+    // The old snapshot probes the full relation's index like kFull does.
+    const RowRange range = ResolveAtomSource(
+        planned.source == AtomSource::kOld ? AtomSource::kFull
+                                           : planned.source,
+        atom.predicate(), full, &delta_shard, nullptr);
+    const Relation& rel = *range.rel;
+    if (range.empty() || rel.arity() != atom.arity()) {
       // Nothing to index; also keeps the shared empty-relation sentinel
       // untouched (the matcher skips empty relations too).
       for (const Term& t : atom.args()) {
@@ -91,12 +95,10 @@ void EnsureIndexesForPass(const Database& full, const Database& delta_shard,
         bound_cols.push_back(i);
       }
     }
-    const bool fully_bound =
-        static_cast<int>(bound_cols.size()) == atom.arity();
-    // Partially bound probes always use the index; fully bound probes use
-    // set membership except against the old snapshot, which needs row ids.
+    // Partially bound probes use the index; fully bound probes go
+    // through the dedup table.
     if (!bound_cols.empty() &&
-        (!fully_bound || planned.source == AtomSource::kOld)) {
+        static_cast<int>(bound_cols.size()) != atom.arity()) {
       rel.EnsureIndex(bound_cols);
     }
     for (const Term& t : atom.args()) {
@@ -125,20 +127,8 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
   }
 
   // Round 0: everything already in the database counts as newly
-  // discovered, restricted to the predicates some rule body reads (as in
-  // the sequential engine).
-  std::set<PredicateId> read_preds;
-  for (const Rule& rule : rules) {
-    for (const Literal& lit : rule.body()) {
-      if (!lit.negated) read_preds.insert(lit.atom.predicate());
-    }
-  }
-  Database delta(db->symbols());
-  for (PredicateId pred : db->NonEmptyPredicates()) {
-    if (!read_preds.contains(pred)) continue;
-    const Relation& rel = db->relation(pred);
-    delta.AddRowRange(pred, rel, 0, rel.size());
-  }
+  // discovered (as in the sequential engine).
+  DeltaRanges delta = RoundZeroDelta(rules, *db);
 
   OldLimits old_limits;
 
@@ -156,28 +146,24 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     round_span.Note("round", static_cast<std::uint64_t>(stats.iterations));
     Watermarks marks = TakeWatermarks(*db);
 
-    // --- Snapshot preparation (single-threaded). Shard the delta and
-    // pre-build every index the round's plans will probe, so the fan-out
-    // phase only reads the database, the shards, and the indexes.
+    // --- Snapshot preparation (single-threaded). Cut each delta range
+    // into shard sub-ranges and pre-build every index the round's plans
+    // will probe, so the fan-out phase only reads the database and its
+    // indexes. Shards copy nothing: they are row ranges of the full
+    // relations, and all shards of a predicate share its indexes.
     TraceSpan prep_span("parallel/prepare");
     Clock::time_point prep_start = Clock::now();
-    std::unordered_map<PredicateId, std::vector<Database>> shards;
-    for (PredicateId pred : delta.NonEmptyPredicates()) {
-      const Relation& rel = delta.relation(pred);
-      const std::size_t num_shards = ShardCount(rel.size());
-      std::vector<Database> shard_dbs;
-      shard_dbs.reserve(num_shards);
+    std::unordered_map<PredicateId, std::vector<DeltaRanges>> shards;
+    for (const auto& [pred, range] : delta.ranges()) {
+      const std::size_t rows = range.size();
+      const std::size_t num_shards = ShardCount(rows);
+      std::vector<DeltaRanges> pred_shards(num_shards);
       for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::size_t begin = s * rel.size() / num_shards;
-        const std::size_t end = (s + 1) * rel.size() / num_shards;
-        Database shard(db->symbols());
-        // Shards are cut in id space on the columnar backend: the shard
-        // relation shares the global dictionary, so the copy never
-        // hashes a Value.
-        shard.AddRowRange(pred, rel, begin, end);
-        shard_dbs.push_back(std::move(shard));
+        pred_shards[s].Set(pred, *range.rel,
+                           range.begin + s * rows / num_shards,
+                           range.begin + (s + 1) * rows / num_shards);
       }
-      shards.emplace(pred, std::move(shard_dbs));
+      shards.emplace(pred, std::move(pred_shards));
     }
 
     // Task list in deterministic (rule, delta position, shard) order; the
@@ -193,9 +179,8 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         if (it == shards.end()) continue;  // no delta facts for this atom
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
-        for (const Database& shard : it->second) {
-          tasks.push_back(
-              PassTask{ri, p, &shard, Database(db->symbols()), MatchStats{}});
+        for (const DeltaRanges& shard : it->second) {
+          tasks.push_back(PassTask{ri, p, shard, DerivedRows{}, MatchStats{}});
         }
       }
     }
@@ -205,13 +190,14 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
             cache.Get(task.rule_index, rules[task.rule_index], task.delta_pos,
                       /*use_old=*/true, *db, &delta);
         task.plan = &plan;
-        // Per-shard index builds still happen here, single-threaded:
-        // after this, Execute is read-only on every relation it probes.
-        plan.EnsureIndexes(*db, task.delta_shard);
+        // Index builds happen here, single-threaded (a no-op for every
+        // shard after a predicate's first): after this, Execute is
+        // read-only on every relation it probes.
+        plan.EnsureIndexes(*db, &task.delta_shard);
       }
     } else {
       for (const PassTask& task : tasks) {
-        EnsureIndexesForPass(*db, *task.delta_shard, rules[task.rule_index],
+        EnsureIndexesForPass(*db, task.delta_shard, rules[task.rule_index],
                              task.delta_pos);
       }
     }
@@ -233,12 +219,12 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
       pool->Submit([&rules, &frozen, &old_limits, &task] {
         TraceSpan task_span("parallel/task");
         if (task.plan != nullptr) {
-          task.plan->Apply(frozen, task.delta_shard, &old_limits, &task.out,
-                           &task.match);
+          task.plan->Derive(frozen, &task.delta_shard, &old_limits, &task.out,
+                            &task.match);
         } else {
-          ApplyRuleWithDelta(rules[task.rule_index], frozen, *task.delta_shard,
-                             task.delta_pos, &task.out, &task.match,
-                             &old_limits);
+          DeriveRuleWithDelta(rules[task.rule_index], frozen,
+                              task.delta_shard, task.delta_pos, &task.out,
+                              &task.match, &old_limits);
         }
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
@@ -253,22 +239,21 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
 
     // --- Round barrier: merge buffers single-threaded in task order, so
     // the database contents and all counters come out identical no matter
-    // how the tasks were scheduled.
+    // how the tasks were scheduled. Each derived row costs exactly one
+    // dedup probe, here, as it would in the sequential engine.
     TraceSpan merge_span("parallel/merge");
     Clock::time_point merge_start = Clock::now();
     const std::uint64_t facts_before_merge = stats.facts_derived;
-    for (const PassTask& task : tasks) {
+    ReserveHeadGrowth(rules, delta, db);
+    for (PassTask& task : tasks) {
+      const std::size_t added =
+          EmitDerived(task.out, rules[task.rule_index].head().predicate(), db,
+                      &task.match);
       stats.match.Add(task.match);
       stats.per_rule[task.rule_index].substitutions +=
           task.match.substitutions;
-      const Rule& rule = rules[task.rule_index];
-      PredicateId head = rule.head().predicate();
-      for (const Tuple& row : task.out.relation(head).rows()) {
-        if (db->AddFact(head, row)) {
-          ++stats.facts_derived;
-          ++stats.per_rule[task.rule_index].facts;
-        }
-      }
+      stats.facts_derived += added;
+      stats.per_rule[task.rule_index].facts += added;
     }
     stats.merge_ns += ElapsedNs(merge_start);
     merge_span.Note("facts", stats.facts_derived - facts_before_merge);
@@ -276,7 +261,7 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     round_span.Note("facts", stats.facts_derived - facts_before_merge);
 
     old_limits = marks;
-    delta = CollectNewFacts(*db, marks);
+    delta = DeltaRanges::Since(*db, marks);
   }
   return stats;
 }

@@ -1,6 +1,8 @@
 #include "eval/relation.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_set>
 
 namespace datalog {
 
@@ -20,39 +22,31 @@ void SetColumnarStorage(bool enabled) { columnar_storage_enabled = enabled; }
 bool ColumnarStorageEnabled() { return columnar_storage_enabled; }
 
 bool Relation::RowIdTable::InsertOrFind(const Columns& columns,
-                                        const std::vector<std::uint32_t>& ids,
+                                        const std::uint32_t* ids,
+                                        std::uint64_t hash,
                                         std::uint32_t row_id) {
-  if ((size_ + 1) * 4 > slots_.size() * 3) Grow(columns);
+  if ((size_ + 1) * 2 > slots_.size()) {
+    ResizeTo(columns, slots_.empty() ? 16 : slots_.size() * 2);
+  }
+  const std::uint32_t tag = Tag(hash);
   const std::size_t mask = slots_.size() - 1;
-  std::size_t h = HashIds(ids) & mask;
+  std::size_t h = hash & mask;
   while (slots_[h] != 0) {
-    if (RowEquals(columns, slots_[h] - 1, ids)) return false;
+    const std::uint32_t slot = slots_[h];
+    if ((slot & ~row_mask_) == tag &&
+        RowEquals(columns, (slot & row_mask_) - 1, ids)) {
+      return false;
+    }
     h = (h + 1) & mask;
   }
-  slots_[h] = row_id + 1;
+  slots_[h] = tag | (row_id + 1);
   ++size_;
   return true;
 }
 
-bool Relation::RowIdTable::Contains(
-    const Columns& columns, const std::vector<std::uint32_t>& ids) const {
-  if (size_ == 0) return false;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t h = HashIds(ids) & mask;
-  while (slots_[h] != 0) {
-    if (RowEquals(columns, slots_[h] - 1, ids)) return true;
-    h = (h + 1) & mask;
-  }
-  return false;
-}
-
-void Relation::RowIdTable::Grow(const Columns& columns) {
-  ResizeTo(columns, slots_.empty() ? 16 : slots_.size() * 2);
-}
-
 void Relation::RowIdTable::Reserve(const Columns& columns,
                                    std::size_t additional) {
-  const std::size_t needed = (size_ + additional) * 4 / 3 + 1;
+  const std::size_t needed = (size_ + additional) * 2 + 1;
   std::size_t new_size = slots_.empty() ? 16 : slots_.size();
   while (new_size < needed) new_size *= 2;
   if (new_size > slots_.size()) ResizeTo(columns, new_size);
@@ -61,25 +55,31 @@ void Relation::RowIdTable::Reserve(const Columns& columns,
 void Relation::RowIdTable::ResizeTo(const Columns& columns,
                                     std::size_t new_size) {
   std::vector<std::uint32_t> old = std::move(slots_);
+  const std::uint32_t old_row_mask = row_mask_;
   slots_.assign(new_size, 0);
+  row_mask_ = static_cast<std::uint32_t>(new_size - 1);
   const std::size_t mask = new_size - 1;
+  // A wider row field leaves fewer tag bits, so every row is re-hashed.
   // Deliberately a local buffer, not IdScratch(): the caller's key may
   // alias the scratch vector while we are mid-insert.
   std::vector<std::uint32_t> ids(columns.size());
   for (std::uint32_t slot : old) {
     if (slot == 0) continue;
+    const std::uint32_t row = (slot & old_row_mask) - 1;
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      ids[c] = columns[c][slot - 1];
+      ids[c] = columns[c][row];
     }
-    std::size_t h = HashIds(ids) & mask;
+    const std::uint64_t hash = HashIds(ids.data(), ids.size());
+    std::size_t h = hash & mask;
     while (slots_[h] != 0) h = (h + 1) & mask;
-    slots_[h] = slot;
+    slots_[h] = Tag(hash) | (row + 1);
   }
 }
 
 void Relation::RowIdTable::Rebuild(const Columns& columns,
                                    std::size_t num_rows) {
   slots_.clear();
+  row_mask_ = 0;
   size_ = 0;
   if (num_rows == 0) return;
   std::vector<std::uint32_t> ids(columns.size());
@@ -87,54 +87,85 @@ void Relation::RowIdTable::Rebuild(const Columns& columns,
     for (std::size_t c = 0; c < columns.size(); ++c) {
       ids[c] = columns[c][i];
     }
-    InsertOrFind(columns, ids, static_cast<std::uint32_t>(i));
+    InsertOrFind(columns, ids.data(), HashIds(ids.data(), ids.size()),
+                 static_cast<std::uint32_t>(i));
   }
 }
 
-bool Relation::Insert(Tuple tuple) {
-  if (!columnar_) {
-    auto [it, inserted] = set_.insert(std::move(tuple));
-    if (inserted) {
-      rows_.push_back(*it);
-    }
-    return inserted;
-  }
-  std::vector<std::uint32_t>& ids = IdScratch();
-  ValueDictionary::Global().InternRow(tuple, &ids);
-  if (!id_table_.InsertOrFind(columns_, ids,
+bool Relation::InsertIdRow(const std::uint32_t* ids, std::uint64_t hash) {
+  if (!id_table_.InsertOrFind(columns_, ids, hash,
                               static_cast<std::uint32_t>(rows_.size()))) {
     return false;
   }
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].push_back(ids[c]);
+  }
+  return true;
+}
+
+bool Relation::Insert(Tuple tuple) {
+  if (!columnar_) {
+    auto [it, inserted] = row_ids_.try_emplace(
+        std::move(tuple), static_cast<std::uint32_t>(rows_.size()));
+    if (inserted) rows_.push_back(it->first);
+    return inserted;
+  }
+  std::vector<std::uint32_t>& ids = IdScratch();
+  ValueDictionary::Global().InternRow(tuple, &ids);
+  if (!InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()))) {
+    return false;
   }
   rows_.push_back(std::move(tuple));
   return true;
 }
 
 bool Relation::InsertIds(const std::vector<std::uint32_t>& ids) {
-  if (!columnar_) {
-    ValueDictionary& dict = ValueDictionary::Global();
-    Tuple tuple;
-    tuple.reserve(ids.size());
-    for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-    return Insert(std::move(tuple));
-  }
-  if (!id_table_.InsertOrFind(columns_, ids,
-                              static_cast<std::uint32_t>(rows_.size()))) {
-    return false;
-  }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
-  }
-  // The Tuple row view is resolved from the dictionary only for rows
-  // that are genuinely new -- duplicates never touch a Value.
+  return InsertIdRows(ids, 1) == 1;
+}
+
+std::size_t Relation::InsertIdRows(const std::vector<std::uint32_t>& ids,
+                                   std::size_t count) {
+  const std::size_t arity = static_cast<std::size_t>(arity_);
   ValueDictionary& dict = ValueDictionary::Global();
-  Tuple tuple;
-  tuple.reserve(ids.size());
-  for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  rows_.push_back(std::move(tuple));
-  return true;
+  std::size_t added = 0;
+  if (columnar_) {
+    // Software-pipelined: row r + kAhead is hashed and its slot
+    // prefetched while row r is probed.
+    constexpr std::size_t kAhead = 8;
+    std::array<std::uint64_t, kAhead> hashes;
+    auto hash_ahead = [&](std::size_t r) {
+      const std::uint64_t hash =
+          RowIdTable::HashIds(ids.data() + r * arity, arity);
+      id_table_.Prefetch(hash);
+      hashes[r % kAhead] = hash;
+    };
+    for (std::size_t r = 0; r < std::min(count, kAhead); ++r) hash_ahead(r);
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::uint64_t hash = hashes[r % kAhead];
+      if (r + kAhead < count) hash_ahead(r + kAhead);
+      const std::uint32_t* row = ids.data() + r * arity;
+      if (!InsertIdRow(row, hash)) continue;
+      // The Tuple row view is resolved from the dictionary only for rows
+      // that are genuinely new -- duplicates never touch a Value.
+      Tuple tuple;
+      tuple.reserve(arity);
+      for (std::size_t c = 0; c < arity; ++c) {
+        tuple.push_back(dict.Resolve(row[c]));
+      }
+      rows_.push_back(std::move(tuple));
+      ++added;
+    }
+    return added;
+  }
+  for (std::size_t r = 0; r < count; ++r) {
+    Tuple tuple;
+    tuple.reserve(arity);
+    for (std::size_t c = 0; c < arity; ++c) {
+      tuple.push_back(dict.Resolve(ids[r * arity + c]));
+    }
+    if (Insert(std::move(tuple))) ++added;
+  }
+  return added;
 }
 
 void Relation::ReserveRows(std::size_t additional) {
@@ -153,59 +184,73 @@ void Relation::ReserveRows(std::size_t additional) {
   id_table_.Reserve(columns_, additional);
 }
 
-bool Relation::AppendRowFrom(const Relation& src, std::size_t row) {
+std::size_t Relation::UnionWith(const Relation& other) {
+  std::size_t added = 0;
+  if (!columnar_ || !other.columnar_) {
+    for (const Tuple& row : other.rows_) {
+      if (Insert(row)) ++added;
+    }
+    return added;
+  }
+  ReserveRows(other.size());
   std::vector<std::uint32_t>& ids = IdScratch();
   ids.resize(columns_.size());
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    ids[c] = src.columns_[c][row];
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      ids[c] = other.columns_[c][i];
+    }
+    // Copy other's materialized Tuple view instead of resolving the ids
+    // through the dictionary.
+    if (InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()))) {
+      rows_.push_back(other.rows_[i]);
+      ++added;
+    }
   }
-  if (!id_table_.InsertOrFind(columns_, ids,
-                              static_cast<std::uint32_t>(rows_.size()))) {
-    return false;
-  }
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(ids[c]);
-  }
-  // Copy src's materialized Tuple view instead of resolving the ids
-  // through the dictionary -- the whole point of this entry over
-  // InsertIds on the bulk copy path.
-  rows_.push_back(src.rows_[row]);
-  return true;
+  return added;
 }
 
-bool Relation::Contains(const Tuple& tuple) const {
-  if (!columnar_) return set_.contains(tuple);
-  if (rows_.empty()) return false;
+std::uint32_t Relation::FindRowId(const Tuple& tuple) const {
+  if (!columnar_) {
+    auto it = row_ids_.find(tuple);
+    return it == row_ids_.end() ? kNoRow : it->second;
+  }
+  if (rows_.empty()) return kNoRow;
   std::vector<std::uint32_t>& ids = IdScratch();
   // A tuple containing a value the dictionary has never seen cannot be
   // stored in any columnar relation.
-  if (!ValueDictionary::Global().LookupRow(tuple, &ids)) return false;
-  return id_table_.Contains(columns_, ids);
+  if (!ValueDictionary::Global().LookupRow(tuple, &ids)) return kNoRow;
+  return id_table_.Find(columns_, ids.data());
 }
 
-bool Relation::ContainsIds(const std::vector<std::uint32_t>& ids) const {
-  if (columnar_) return id_table_.Contains(columns_, ids);
-  if (rows_.empty()) return false;
+std::uint32_t Relation::FindRowIdByIdsSlow(
+    const std::vector<std::uint32_t>& ids) const {
+  if (ids.size() != static_cast<std::size_t>(arity_)) return kNoRow;
+  if (columnar_) return id_table_.Find(columns_, ids.data());
+  if (rows_.empty()) return kNoRow;
   ValueDictionary& dict = ValueDictionary::Global();
   Tuple tuple;
   tuple.reserve(ids.size());
   for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  return set_.contains(tuple);
+  auto it = row_ids_.find(tuple);
+  return it == row_ids_.end() ? kNoRow : it->second;
 }
 
 std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
   std::size_t erased = 0;
   if (!columnar_) {
     for (const Tuple& tuple : tuples) {
-      erased += set_.erase(tuple);
+      erased += row_ids_.erase(tuple);
     }
     if (erased == 0) return 0;
     // Compact the row vector to the surviving tuples, preserving their
-    // relative order.
+    // relative order, and renumber their row ids.
     std::vector<Tuple> survivors;
     survivors.reserve(rows_.size() - erased);
     for (Tuple& row : rows_) {
-      if (set_.contains(row)) survivors.push_back(std::move(row));
+      auto it = row_ids_.find(row);
+      if (it == row_ids_.end()) continue;
+      it->second = static_cast<std::uint32_t>(survivors.size());
+      survivors.push_back(std::move(row));
     }
     rows_ = std::move(survivors);
   } else {
@@ -217,7 +262,7 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
     ValueDictionary& dict = ValueDictionary::Global();
     for (const Tuple& tuple : tuples) {
       if (!dict.LookupRow(tuple, &ids)) continue;  // never stored
-      if (id_table_.Contains(columns_, ids)) {
+      if (id_table_.Find(columns_, ids.data()) != kNoRow) {
         if (doomed.insert(ids).second) ++erased;
       }
     }

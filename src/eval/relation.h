@@ -1,10 +1,11 @@
 #ifndef DATALOG_EVAL_RELATION_H_
 #define DATALOG_EVAL_RELATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "eval/tuple.h"
@@ -33,7 +34,8 @@ bool ColumnarStorageEnabled();
 /// SetColumnarStorage knob; see docs/columnar_storage.md):
 ///
 ///  - Row store (legacy): rows are `Tuple`s, dedup and membership go
-///    through a Tuple-keyed hash set, and indexes key on `Value`/`Tuple`.
+///    through a Tuple-keyed hash map to row ids, and indexes key on
+///    `Value`/`Tuple`.
 ///  - Columnar: every inserted value is interned to a dense u32 id in the
 ///    global ValueDictionary and each column is a contiguous
 ///    `std::vector<std::uint32_t>`; dedup, membership and the postings
@@ -48,8 +50,8 @@ bool ColumnarStorageEnabled();
 /// access from multiple threads is safe only under the frozen-snapshot
 /// contract: no Insert is in flight, and every column set that will be
 /// probed has been EnsureIndex'd since the last Insert. Under that
-/// contract Lookup, Contains, rows(), row(), column() and size() are all
-/// read-only (see docs/parallel_eval.md).
+/// contract Lookup, Contains, FindRowId, rows(), row(), column() and
+/// size() are all read-only (see docs/parallel_eval.md).
 class Relation {
  public:
   explicit Relation(int arity = 0)
@@ -78,18 +80,28 @@ class Relation {
   /// row-store relation, so callers need not check the backend.
   bool InsertIds(const std::vector<std::uint32_t>& ids);
 
+  /// Inserts `count` id rows stored back to back in `ids` (row r is
+  /// ids[r * arity(), (r + 1) * arity())), in order; returns how many
+  /// were new. The single emit-and-dedup path of every join executor:
+  /// exactly one dedup-table probe per row, and the Tuple row view is
+  /// resolved from the dictionary only for rows that are actually new.
+  /// `count` is explicit because zero-arity rows occupy no ids.
+  std::size_t InsertIdRows(const std::vector<std::uint32_t>& ids,
+                           std::size_t count);
+
   /// Pre-sizes storage (columns, row views, and the dedup table) for
-  /// `additional` more rows, so bulk copies pay one table resize instead
-  /// of a doubling cascade. Purely an optimization; inserting more or
-  /// fewer rows than reserved is fine.
+  /// `additional` more rows, so bulk inserts pay one table resize instead
+  /// of a doubling cascade. The fixpoint drivers call it once per round
+  /// per head relation, sized by the relation's growth in the previous
+  /// round. Purely an optimization; inserting more or fewer rows than
+  /// reserved is fine.
   void ReserveRows(std::size_t additional);
 
-  /// Copies row `row` of `src` into this relation (both must be columnar
-  /// and share an arity); returns true if it was new. Unlike InsertIds
-  /// this reuses src's already-materialized Tuple view instead of
-  /// resolving ids through the dictionary -- the fast path under
-  /// Database::AddRowRange.
-  bool AppendRowFrom(const Relation& src, std::size_t row);
+  /// Adds every row of `other` (same arity) in its row order; returns how
+  /// many were new. When both relations are columnar the copy stays in id
+  /// space and reuses `other`'s materialized Tuple views (Database's
+  /// UnionWith runs on this).
+  std::size_t UnionWith(const Relation& other);
 
   /// Erases every tuple of `tuples` that is present; returns how many
   /// were removed. Removal compacts the row vector (later rows shift
@@ -102,12 +114,33 @@ class Relation {
   /// docs/incremental_eval.md).
   std::size_t EraseAll(const std::vector<Tuple>& tuples);
 
-  bool Contains(const Tuple& tuple) const;
+  /// Returned by the row-id lookups below when the row is absent.
+  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
 
-  /// Columnar membership by dictionary ids; agrees with Contains on the
-  /// resolved tuple. Works on either backend (row store resolves the ids
-  /// and probes the Tuple set).
-  bool ContainsIds(const std::vector<std::uint32_t>& ids) const;
+  /// The row id of `tuple` (its position in rows()), found through the
+  /// dedup table, or kNoRow. Rows are distinct, so this is the one row a
+  /// fully bound probe can match; the executors test it against the
+  /// atom's row range.
+  std::uint32_t FindRowId(const Tuple& tuple) const;
+
+  /// FindRowId by dictionary ids; a key whose length is not arity()
+  /// matches nothing. Works on either backend (the row store resolves
+  /// the ids).
+  std::uint32_t FindRowIdByIds(const std::vector<std::uint32_t>& ids) const {
+    // Inline fast path: the executors' fully bound probes land here once
+    // per candidate binding.
+    if (columnar_ && ids.size() == columns_.size()) {
+      return id_table_.Find(columns_, ids.data());
+    }
+    return FindRowIdByIdsSlow(ids);
+  }
+
+  bool Contains(const Tuple& tuple) const {
+    return FindRowId(tuple) != kNoRow;
+  }
+  bool ContainsIds(const std::vector<std::uint32_t>& ids) const {
+    return FindRowIdByIds(ids) != kNoRow;
+  }
 
   const std::vector<Tuple>& rows() const { return rows_; }
   const Tuple& row(std::size_t i) const { return rows_[i]; }
@@ -120,9 +153,10 @@ class Relation {
   }
 
   /// Returns the row indices whose projection onto `columns` equals `key`
-  /// (`key[i]` corresponds to `columns[i]`). `columns` must be strictly
-  /// increasing and non-empty. Builds/extends the index on first use.
-  /// Single-column probes are routed to the single-column fast path below.
+  /// (`key[i]` corresponds to `columns[i]`), in ascending order.
+  /// `columns` must be strictly increasing and non-empty. Builds/extends
+  /// the index on first use. Single-column probes are routed to the
+  /// single-column fast path below.
   const std::vector<std::uint32_t>& Lookup(const std::vector<int>& columns,
                                            const Tuple& key) const;
 
@@ -220,44 +254,92 @@ class Relation {
 
   static const std::vector<std::uint32_t>& EmptyRowIds();
 
+  /// The ids of `postings` -- an ascending posting list from Lookup or
+  /// an index view -- that lie in the row range [begin, end): a
+  /// lower-bound skip to `begin` and a stop before `end`, each skipped
+  /// when the list lies inside the bound anyway. This is how a probe of
+  /// an old prefix or a semi-naive delta, both row ranges of the full
+  /// relation, reads the full relation's index.
+  static std::span<const std::uint32_t> RowsInRange(
+      const std::vector<std::uint32_t>& postings, std::size_t begin,
+      std::size_t end) {
+    auto lo = postings.begin();
+    if (begin != 0 && !postings.empty() && postings.front() < begin) {
+      lo = std::lower_bound(lo, postings.end(), begin);
+    }
+    auto hi = postings.end();
+    if (lo != hi && postings.back() >= end) hi = std::lower_bound(lo, hi, end);
+    return {lo, hi};
+  }
+
  private:
   /// Open-addressing dedup/membership table for the columnar backend.
-  /// Slots store row_id + 1 (0 marks an empty slot); the keys are the id
-  /// rows already sitting in columns_, so neither insert nor probe ever
-  /// allocates per row, and growth just re-scatters u32 indices --
-  /// unlike a node-based hash set of id vectors, which pays a node and a
-  /// vector allocation per row and re-links every node on rehash.
+  /// A slot is one u32: 0 marks it empty; otherwise the bits under
+  /// row_mask_ (log2 of the slot count) hold row_id + 1 and the bits
+  /// above hold a tag taken from the high half of the row's hash. Row
+  /// ids fit under the mask because the table holds every row and stays
+  /// at most half full. The keys are the id rows already sitting in
+  /// columns_, so neither insert nor probe ever allocates per row, and a
+  /// probe reads a row's columns only on a tag match. A fully bound probe
+  /// of a delta range that fails -- most do -- therefore reads a short
+  /// run of slots of the full relation's table and nothing else; the
+  /// half-full bound keeps that run short.
   class RowIdTable {
    public:
     using Columns = std::vector<std::vector<std::uint32_t>>;
 
-    /// Appends `ids` (about to become row `row_id` of `columns`) unless
-    /// an equal row is already present; returns true if inserted. The
-    /// caller appends to `columns` after a true return; probing only
-    /// ever dereferences rows below `row_id`.
-    bool InsertOrFind(const Columns& columns,
-                      const std::vector<std::uint32_t>& ids,
-                      std::uint32_t row_id);
-    bool Contains(const Columns& columns,
-                  const std::vector<std::uint32_t>& ids) const;
+    /// Appends the id row at `ids` (columns.size() ids, about to become
+    /// row `row_id` of `columns`; `hash` is HashIds of it) unless an
+    /// equal row is already present; returns true if inserted. The caller
+    /// appends to `columns` after a true return; probing only ever
+    /// dereferences rows below `row_id`.
+    bool InsertOrFind(const Columns& columns, const std::uint32_t* ids,
+                      std::uint64_t hash, std::uint32_t row_id);
+    /// The row id holding the id row at `ids`, or kNoRow.
+    std::uint32_t Find(const Columns& columns, const std::uint32_t* ids) const {
+      if (size_ == 0) return kNoRow;
+      const std::uint64_t hash = HashIds(ids, columns.size());
+      const std::uint32_t tag = Tag(hash);
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t h = hash & mask; slots_[h] != 0; h = (h + 1) & mask) {
+        const std::uint32_t slot = slots_[h];
+        if ((slot & ~row_mask_) != tag) continue;
+        const std::uint32_t row = (slot & row_mask_) - 1;
+        if (RowEquals(columns, row, ids)) return row;
+      }
+      return kNoRow;
+    }
     /// Drops every entry and re-inserts rows [0, num_rows) of `columns`
     /// (used after EraseAll compacts the columns).
     void Rebuild(const Columns& columns, std::size_t num_rows);
 
     /// Resizes the slot array once so `additional` more rows fit under
-    /// the 3/4 load factor (no-op when they already do).
+    /// the 1/2 load factor (no-op when they already do).
     void Reserve(const Columns& columns, std::size_t additional);
 
-   private:
-    static std::size_t HashIds(const std::vector<std::uint32_t>& ids) {
-      std::size_t seed = ids.size();
-      for (std::uint32_t id : ids) {
-        HashCombine(seed, std::hash<std::uint32_t>{}(id));
+    /// Starts loading the slot where a row hashing to `hash` is probed
+    /// first: a batch insert issues this a few rows ahead, so the cache
+    /// misses of a table beyond L2 overlap instead of serializing.
+    void Prefetch(std::uint64_t hash) const {
+#if defined(__GNUC__) || defined(__clang__)
+      if (!slots_.empty()) {
+        __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
+      }
+#else
+      (void)hash;
+#endif
+    }
+
+    static std::uint64_t HashIds(const std::uint32_t* ids, std::size_t n) {
+      std::size_t seed = n;
+      for (std::size_t i = 0; i < n; ++i) {
+        HashCombine(seed, std::hash<std::uint32_t>{}(ids[i]));
       }
       // Finalizer (murmur3 fmix64). HashCombine alone leaves dictionary
-      // ids -- dense, sequential -- poorly mixed in the low bits, and the
-      // table masks with a power of two, so without this the linear
-      // probes cluster into long runs on chain-shaped workloads.
+      // ids -- dense, sequential -- poorly mixed: the home position comes
+      // from the low bits and the tag from the high ones, and without
+      // this the linear probes cluster into long runs on chain-shaped
+      // workloads.
       seed ^= seed >> 33;
       seed *= 0xff51afd7ed558ccdULL;
       seed ^= seed >> 33;
@@ -265,17 +347,23 @@ class Relation {
       seed ^= seed >> 33;
       return seed;
     }
+
+   private:
     static bool RowEquals(const Columns& columns, std::uint32_t row,
-                          const std::vector<std::uint32_t>& ids) {
-      for (std::size_t c = 0; c < ids.size(); ++c) {
+                          const std::uint32_t* ids) {
+      for (std::size_t c = 0; c < columns.size(); ++c) {
         if (columns[c][row] != ids[c]) return false;
       }
       return true;
     }
-    void Grow(const Columns& columns);
+    /// The tag bits of a slot for a row hashing to `hash`.
+    std::uint32_t Tag(std::uint64_t hash) const {
+      return static_cast<std::uint32_t>(hash >> 32) & ~row_mask_;
+    }
     void ResizeTo(const Columns& columns, std::size_t new_size);
 
     std::vector<std::uint32_t> slots_;  // power-of-two size; 0 = empty
+    std::uint32_t row_mask_ = 0;        // slots_.size() - 1: the row bits
     std::size_t size_ = 0;
   };
 
@@ -302,6 +390,13 @@ class Relation {
     std::size_t built_up_to = 0;      // rows_[0, built_up_to) contributed
   };
 
+  std::uint32_t FindRowIdByIdsSlow(const std::vector<std::uint32_t>& ids) const;
+
+  /// Columnar insert of the id row at `ids` (RowIdTable::HashIds of it
+  /// is `hash`) into the dedup table and the columns; returns true if it
+  /// was new, and the caller then appends its Tuple view to rows_.
+  bool InsertIdRow(const std::uint32_t* ids, std::uint64_t hash);
+
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;
   void ExtendSingleIndex(int column, SingleColumnIndex* index) const;
   void ExtendIdIndex(const std::vector<int>& columns,
@@ -314,8 +409,8 @@ class Relation {
   // backends. On the columnar backend this is the Value view assembled
   // at insert time; columns_ is the probe substrate.
   std::vector<Tuple> rows_;
-  // Row-store dedup/membership set (row backend only).
-  std::unordered_set<Tuple, TupleHash> set_;
+  // Row-store dedup/membership map, tuple -> row id (row backend only).
+  std::unordered_map<Tuple, std::uint32_t, TupleHash> row_ids_;
   // Columnar backend: one contiguous id vector per column, plus the
   // allocation-free open-addressing dedup table over those columns.
   std::vector<std::vector<std::uint32_t>> columns_;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "eval/compiled_rule.h"
+#include "util/interning.h"
 
 namespace datalog {
 
@@ -49,12 +50,67 @@ std::uint64_t BodyFingerprint(const std::vector<PlannedAtom>& atoms) {
   return seed;
 }
 
+DeltaRanges DeltaRanges::Since(const Database& db, const OldLimits& marks) {
+  DeltaRanges delta;
+  for (PredicateId pred : db.NonEmptyPredicates()) {
+    const Relation& rel = db.relation(pred);
+    auto it = marks.find(pred);
+    delta.Set(pred, rel, it == marks.end() ? 0 : it->second, rel.size());
+  }
+  return delta;
+}
+
+void DeltaRanges::Set(PredicateId pred, const Relation& rel,
+                      std::size_t begin, std::size_t end) {
+  if (begin >= end) {
+    ranges_.erase(pred);
+    return;
+  }
+  ranges_[pred] = RowRange{&rel, begin, end};
+}
+
+RowRange ResolveAtomSource(AtomSource source, PredicateId pred,
+                           const Database& full, const DeltaRanges* delta,
+                           const OldLimits* old_limits) {
+  if (source == AtomSource::kDelta) {
+    RowRange range = delta == nullptr ? RowRange{} : delta->Find(pred);
+    if (range.rel == nullptr) range = RowRange{&full.relation(pred), 0, 0};
+    return range;
+  }
+  const Relation& rel = full.relation(pred);
+  std::size_t end = rel.size();
+  if (source == AtomSource::kOld) {
+    std::size_t limit = 0;
+    if (old_limits != nullptr) {
+      auto it = old_limits->find(pred);
+      if (it != old_limits->end()) limit = it->second;
+    }
+    end = std::min(end, limit);
+  }
+  return RowRange{&rel, 0, end};
+}
+
+std::size_t PlanningSize(AtomSource source, PredicateId pred,
+                         const Database& full, const DeltaRanges* delta) {
+  if (source == AtomSource::kDelta && delta != nullptr) {
+    return delta->Find(pred).size();
+  }
+  return full.relation(pred).size();
+}
+
+std::size_t EmitDerived(const DerivedRows& rows, PredicateId head,
+                        Database* out, MatchStats* stats) {
+  if (stats != nullptr) stats->dedup_probes += rows.count;
+  if (rows.count == 0) return 0;
+  return out->MutableRelation(head).InsertIdRows(rows.ids, rows.count);
+}
+
 namespace {
 
 /// Recursive backtracking join over the planned atoms.
 class Matcher {
  public:
-  Matcher(const Database& full, const Database* delta,
+  Matcher(const Database& full, const DeltaRanges* delta,
           const std::vector<PlannedAtom>& atoms,
           const std::function<bool(const Binding&)>& callback,
           MatchStats* stats, const OldLimits* old_limits = nullptr)
@@ -77,17 +133,6 @@ class Matcher {
   }
 
  private:
-  const Database& SourceDb(AtomSource source) const {
-    return source == AtomSource::kDelta ? *delta_ : full_;
-  }
-
-  /// Rows [0, OldLimit(pred)) of the full relation form the old snapshot.
-  std::size_t OldLimit(PredicateId pred) const {
-    if (old_limits_ == nullptr) return 0;
-    auto it = old_limits_->find(pred);
-    return it == old_limits_->end() ? 0 : it->second;
-  }
-
   bool Enumerate(std::size_t depth) {
     if (depth == order_.size()) {
       if (stats_ != nullptr) ++stats_->substitutions;
@@ -95,8 +140,12 @@ class Matcher {
     }
     const PlannedAtom& planned = order_[depth];
     const Atom& atom = planned.atom;
-    const Relation& rel = SourceDb(planned.source).relation(atom.predicate());
-    if (rel.empty()) {
+    // The atom's rows: [0, size) of the full relation, its old prefix,
+    // or its delta range.
+    const RowRange range = ResolveAtomSource(
+        planned.source, atom.predicate(), full_, delta_, old_limits_);
+    const Relation& rel = *range.rel;
+    if (range.empty()) {
       // No rows, no matches. Returning before any Lookup also keeps the
       // shared empty-relation sentinel write-free, which the parallel
       // evaluator's frozen-snapshot contract relies on.
@@ -105,10 +154,6 @@ class Matcher {
     if (rel.arity() != atom.arity()) {
       return true;  // arity mismatch cannot match (defensive; validated earlier)
     }
-    const bool old_only = planned.source == AtomSource::kOld;
-    const std::size_t old_limit =
-        old_only ? OldLimit(atom.predicate()) : rel.size();
-    if (old_only && old_limit == 0) return true;  // no old rows at all
 
     // Split argument positions into bound (constant / bound variable) and
     // free.
@@ -130,22 +175,18 @@ class Matcher {
 
     if (stats_ != nullptr) ++stats_->index_lookups;
 
-    // The membership fast path below uses Lookup/Contains, so it must
+    // The membership fast path below uses the dedup table, so it must
     // honor the index-lookups ablation knob too; with the knob off a
     // fully bound atom falls through to the scan-and-filter loop like
     // any other bound atom.
     if (IndexLookupsEnabled() &&
         static_cast<int>(bound_cols.size()) == atom.arity()) {
-      // Fully bound: membership test. The old snapshot additionally needs
-      // the matching row to predate the limit.
+      // Fully bound: membership test -- the one row holding the key must
+      // lie in the atom's range.
       if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (old_only) {
-        for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-          if (row_id < old_limit) return Enumerate(depth + 1);
-        }
-        return true;
-      }
-      if (rel.Contains(key)) {
+      const std::uint32_t row_id = rel.FindRowId(key);
+      if (row_id != Relation::kNoRow && row_id >= range.begin &&
+          row_id < range.end) {
         return Enumerate(depth + 1);
       }
       return true;
@@ -172,7 +213,7 @@ class Matcher {
     };
 
     if (bound_cols.empty()) {
-      for (std::size_t i = 0; i < old_limit; ++i) {
+      for (std::size_t i = range.begin; i < range.end; ++i) {
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         if (!try_row(rel.row(i))) return false;
       }
@@ -180,7 +221,7 @@ class Matcher {
     }
 
     if (!IndexLookupsEnabled()) {
-      for (std::size_t i = 0; i < old_limit; ++i) {
+      for (std::size_t i = range.begin; i < range.end; ++i) {
         const Tuple& row = rel.row(i);
         if (stats_ != nullptr) ++stats_->tuples_scanned;
         bool matches = true;
@@ -195,8 +236,8 @@ class Matcher {
       return true;
     }
 
-    for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-      if (old_only && row_id >= old_limit) continue;
+    for (std::uint32_t row_id : Relation::RowsInRange(
+             rel.Lookup(bound_cols, key), range.begin, range.end)) {
       if (stats_ != nullptr) ++stats_->tuples_scanned;
       if (!try_row(rel.row(row_id))) return false;
     }
@@ -204,7 +245,7 @@ class Matcher {
   }
 
   const Database& full_;
-  const Database* delta_;
+  const DeltaRanges* delta_;
   // Stored by value: callers commonly pass a temporary std::function
   // constructed from a lambda at the call site.
   std::function<bool(const Binding&)> callback_;
@@ -226,51 +267,62 @@ bool NegationHolds(const Rule& rule, const Database& full,
   return true;
 }
 
-std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
-                          const Database* delta,
-                          std::size_t delta_pos,  // or npos
-                          Database* out, MatchStats* stats,
-                          const OldLimits* old_limits,
-                          CompiledRuleCache* cache, std::size_t rule_index) {
+/// Enumerates the (rule, delta position) pass and appends the derived
+/// head rows to `out`: the compiled executors when enabled, else the
+/// legacy Matcher, whose Tuples are interned into ids.
+void DeriveImpl(const Rule& rule, const Database& full,
+                const DeltaRanges* delta,
+                std::size_t delta_pos,  // or npos
+                DerivedRows* out, MatchStats* stats,
+                const OldLimits* old_limits, CompiledRuleCache* cache,
+                std::size_t rule_index) {
   const bool use_old = old_limits != nullptr;
   if (CompiledRulePlansEnabled()) {
     if (cache != nullptr) {
       const CompiledRule& plan =
           cache->Get(rule_index, rule, delta_pos, use_old, full, delta);
-      return plan.Apply(full, delta, old_limits, out, stats);
+      plan.Derive(full, delta, old_limits, out, stats);
+      return;
     }
     CompiledRule plan =
         CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
-    return plan.Apply(full, delta, old_limits, out, stats);
+    plan.Derive(full, delta, old_limits, out, stats);
+    return;
   }
 
   std::vector<PlannedAtom> atoms =
       BuildDeltaPassAtoms(rule, delta_pos, use_old);
-
-  // Derived tuples are buffered and inserted only after the enumeration
-  // finishes: `out` may alias `full`, and inserting while the matcher is
-  // iterating rows/indexes of the same relation would invalidate them.
-  std::vector<Tuple> derived;
+  ValueDictionary& dict = ValueDictionary::Global();
+  std::vector<std::uint32_t> ids;
   auto on_match = [&](const Binding& binding) {
     if (!NegationHolds(rule, full, binding)) return true;
-    derived.push_back(InstantiateHead(rule.head(), binding));
+    dict.InternRow(InstantiateHead(rule.head(), binding), &ids);
+    out->ids.insert(out->ids.end(), ids.begin(), ids.end());
+    ++out->count;
     return true;
   };
   Matcher matcher(full, delta, atoms, on_match, stats, old_limits);
   matcher.Run();
+}
 
-  std::size_t new_facts = 0;
-  for (Tuple& tuple : derived) {
-    if (out->AddFact(rule.head().predicate(), std::move(tuple))) {
-      ++new_facts;
-    }
-  }
-  return new_facts;
+std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
+                          const DeltaRanges* delta,
+                          std::size_t delta_pos,  // or npos
+                          Database* out, MatchStats* stats,
+                          const OldLimits* old_limits,
+                          CompiledRuleCache* cache, std::size_t rule_index) {
+  // Derived rows are buffered and inserted only after the enumeration
+  // finishes: `out` may alias `full`, and inserting while the matcher is
+  // iterating rows/indexes of the same relation would invalidate them.
+  DerivedRows derived;
+  DeriveImpl(rule, full, delta, delta_pos, &derived, stats, old_limits, cache,
+             rule_index);
+  return EmitDerived(derived, rule.head().predicate(), out, stats);
 }
 
 }  // namespace
 
-void MatchAtoms(const Database& full, const Database* delta,
+void MatchAtoms(const Database& full, const DeltaRanges* delta,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats) {
@@ -316,7 +368,7 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
 /// estimated probe given the variables bound so far (more bound columns
 /// and smaller relations first).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
-                                       const Database* delta,
+                                       const DeltaRanges* delta,
                                        const std::vector<PlannedAtom>& atoms) {
   // An installed hint overrides the greedy planner when it is a valid
   // permutation of the body; anything malformed falls through, so hints
@@ -343,9 +395,6 @@ std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
     }
   }
   if (!GreedyJoinOrderingEnabled()) return atoms;
-  auto source_db = [&](AtomSource source) -> const Database& {
-    return source == AtomSource::kDelta ? *delta : full;
-  };
   std::vector<PlannedAtom> order;
   std::vector<bool> used(atoms.size(), false);
   std::vector<bool> bound_vars;  // indexed by variable id, grown on demand
@@ -373,7 +422,7 @@ std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
         }
       }
       double rel_size = static_cast<double>(
-          source_db(atoms[i].source).relation(atom.predicate()).size());
+          PlanningSize(atoms[i].source, atom.predicate(), full, delta));
       double cost = rel_size;
       for (int b = 0; b < bound; ++b) cost /= 4.0;  // crude selectivity
       if (cost < best_cost) {
@@ -412,13 +461,21 @@ std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
 }
 
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
-                               const Database& delta, std::size_t delta_pos,
+                               const DeltaRanges& delta, std::size_t delta_pos,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits,
                                CompiledRuleCache* cache,
                                std::size_t rule_index) {
   return ApplyRuleImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
                        cache, rule_index);
+}
+
+void DeriveRuleWithDelta(const Rule& rule, const Database& full,
+                         const DeltaRanges& delta, std::size_t delta_pos,
+                         DerivedRows* out, MatchStats* stats,
+                         const OldLimits* old_limits) {
+  DeriveImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
+             /*cache=*/nullptr, /*rule_index=*/0);
 }
 
 }  // namespace datalog

@@ -18,24 +18,106 @@ struct MatchStats {
   std::uint64_t substitutions = 0;   // complete body matches found
   std::uint64_t index_lookups = 0;   // per-atom index probes / scans
   std::uint64_t tuples_scanned = 0;  // candidate tuples inspected
+  // Head rows probed against the output's dedup table: one per emitted
+  // row (a substitution that survived negation), duplicates included.
+  std::uint64_t dedup_probes = 0;
 
   void Add(const MatchStats& other) {
     substitutions += other.substitutions;
     index_lookups += other.index_lookups;
     tuples_scanned += other.tuples_scanned;
+    dedup_probes += other.dedup_probes;
   }
 };
 
-/// Which database a body atom is matched against during semi-naive
-/// evaluation: the full database, the last round's delta, or the "old"
-/// prefix of the full database (rows that existed before the delta was
-/// born -- expressible as a per-predicate row-count bound because
-/// relations are append-only).
+/// Which rows a body atom is matched against during semi-naive
+/// evaluation: the full relation, the last round's delta, or the "old"
+/// prefix of the full relation (rows that existed before the delta was
+/// born). All three are row ranges -- relations are append-only -- so
+/// every executor resolves a join depth to (relation, begin, end); see
+/// ResolveAtomSource.
 enum class AtomSource { kFull, kDelta, kOld };
 
-/// Per-predicate row-count bounds defining the "old" snapshot; predicates
-/// absent from the map have no old rows.
+/// Per-predicate row-count bounds defining the "old" snapshot [0, limit);
+/// predicates absent from the map have no old rows.
 using OldLimits = std::unordered_map<PredicateId, std::size_t>;
+
+/// The half-open row range [begin, end) of one relation.
+struct RowRange {
+  const Relation* rel = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+
+  std::size_t size() const { return end - begin; }
+  bool empty() const { return begin >= end; }
+};
+
+/// The semi-naive delta: per predicate, a row range of a relation. In the
+/// fixpoint engines it is the range [old watermark, round-start
+/// watermark) of the full relation -- the rows the previous round
+/// appended -- so cutting a delta copies nothing; a parallel shard is a
+/// sub-range of it. The incremental engine's seeded first round passes
+/// its seed relations whole, as [0, size). Predicates without a range
+/// have an empty delta.
+class DeltaRanges {
+ public:
+  /// Rows [marks[pred], size) of every relation of `db` that grew past
+  /// its mark (an absent mark is 0).
+  static DeltaRanges Since(const Database& db, const OldLimits& marks);
+
+  /// Every fact of `db`: each non-empty relation as [0, size).
+  static DeltaRanges Whole(const Database& db) { return Since(db, {}); }
+
+  /// Sets the range of `pred` to rows [begin, end) of `rel` (an empty
+  /// range removes it). `rel` must outlive every use of this delta.
+  void Set(PredicateId pred, const Relation& rel, std::size_t begin,
+           std::size_t end);
+
+  /// The range of `pred`; an empty range with a null relation if none.
+  RowRange Find(PredicateId pred) const {
+    auto it = ranges_.find(pred);
+    return it == ranges_.end() ? RowRange{} : it->second;
+  }
+
+  bool empty() const { return ranges_.empty(); }
+  const std::unordered_map<PredicateId, RowRange>& ranges() const {
+    return ranges_;
+  }
+
+ private:
+  std::unordered_map<PredicateId, RowRange> ranges_;
+};
+
+/// The rows a body atom reads: kFull the whole relation of `full`, kOld
+/// its prefix [0, old limit), kDelta the predicate's range in `delta`.
+/// The relation is never null: a missing relation or delta resolves to
+/// an empty range. Executors resolve every join depth through this once
+/// per rule application, so the three sources share one code path.
+RowRange ResolveAtomSource(AtomSource source, PredicateId pred,
+                           const Database& full, const DeltaRanges* delta,
+                           const OldLimits* old_limits);
+
+/// The cardinality the join planner assumes for an atom: the delta
+/// range's length for kDelta (when a delta is given), the full
+/// relation's size otherwise -- the old snapshot is planned at full size.
+std::size_t PlanningSize(AtomSource source, PredicateId pred,
+                         const Database& full, const DeltaRanges* delta);
+
+/// Head rows a rule application derived, buffered in id space until the
+/// enumeration finishes (the output may alias an input relation, and the
+/// parallel engine merges task buffers at the round barrier): `count`
+/// rows of the head's arity stored back to back in `ids`, duplicates
+/// included.
+struct DerivedRows {
+  std::vector<std::uint32_t> ids;
+  std::size_t count = 0;
+};
+
+/// Inserts `rows` into `out`'s relation for `head` in order and returns
+/// how many were new: one dedup probe per row, counted into
+/// `stats->dedup_probes` (when non-null).
+std::size_t EmitDerived(const DerivedRows& rows, PredicateId head,
+                        Database* out, MatchStats* stats);
 
 /// A body atom together with its source.
 struct PlannedAtom {
@@ -127,7 +209,7 @@ class CompiledRuleCache;  // eval/compiled_rule.h
 /// stop the enumeration early.
 ///
 /// `delta` may be null when no atom uses AtomSource::kDelta.
-void MatchAtoms(const Database& full, const Database* delta,
+void MatchAtoms(const Database& full, const DeltaRanges* delta,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats);
@@ -147,7 +229,7 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
 /// the parallel evaluator pre-build exactly the indexes a pass will probe
 /// before fanning out (see docs/parallel_eval.md).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
-                                       const Database* delta,
+                                       const DeltaRanges* delta,
                                        const std::vector<PlannedAtom>& atoms);
 
 /// Instantiates `atom` under `binding`; every variable must be bound.
@@ -171,18 +253,26 @@ std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
 
 /// Semi-naive variant: like ApplyRule but the body atom at position
 /// `delta_pos` (an index into rule.body(), which must be positive there)
-/// is matched against `delta` instead of `full`. When `old_limits` is
-/// non-null, positive positions BEFORE delta_pos are matched against the
-/// old snapshot only (the classic old/delta/full scheme, which covers
-/// every derivation that uses a delta fact exactly once instead of once
-/// per delta position); with a null `old_limits` those positions fall
-/// back to the full database.
+/// is matched against its row range in `delta` instead of `full`. When
+/// `old_limits` is non-null, positive positions BEFORE delta_pos are
+/// matched against the old snapshot only (the classic old/delta/full
+/// scheme, which covers every derivation that uses a delta fact exactly
+/// once instead of once per delta position); with a null `old_limits`
+/// those positions fall back to the full database.
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
-                               const Database& delta, std::size_t delta_pos,
+                               const DeltaRanges& delta, std::size_t delta_pos,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits = nullptr,
                                CompiledRuleCache* cache = nullptr,
                                std::size_t rule_index = 0);
+
+/// Like ApplyRuleWithDelta without a cache, but appends the derived head
+/// rows to `out` instead of inserting them (the parallel engine's
+/// task-local derivation; EmitDerived inserts them at the round barrier).
+void DeriveRuleWithDelta(const Rule& rule, const Database& full,
+                         const DeltaRanges& delta, std::size_t delta_pos,
+                         DerivedRows* out, MatchStats* stats,
+                         const OldLimits* old_limits);
 
 }  // namespace datalog
 

@@ -21,16 +21,33 @@ Watermarks TakeWatermarks(const Database& db) {
   return marks;
 }
 
-Database CollectNewFacts(const Database& db, const Watermarks& marks) {
-  Database delta(db.symbols());
+DeltaRanges RoundZeroDelta(const std::vector<Rule>& rules,
+                           const Database& db) {
+  std::set<PredicateId> read_preds;
+  for (const Rule& rule : rules) {
+    for (const Literal& lit : rule.body()) {
+      if (!lit.negated) read_preds.insert(lit.atom.predicate());
+    }
+  }
+  DeltaRanges delta;
   for (PredicateId pred : db.NonEmptyPredicates()) {
+    if (!read_preds.contains(pred)) continue;
     const Relation& rel = db.relation(pred);
-    auto it = marks.find(pred);
-    std::size_t from = it == marks.end() ? 0 : it->second;
-    // Id-space copy when both relations are columnar: no Value hashing.
-    delta.AddRowRange(pred, rel, from, rel.size());
+    delta.Set(pred, rel, 0, rel.size());
   }
   return delta;
+}
+
+void ReserveHeadGrowth(const std::vector<Rule>& rules,
+                       const DeltaRanges& delta, Database* db) {
+  std::set<PredicateId> heads;
+  for (const Rule& rule : rules) {
+    if (!rule.IsFact()) heads.insert(rule.head().predicate());
+  }
+  for (PredicateId head : heads) {
+    const std::size_t grown = delta.Find(head).size();
+    if (grown != 0) db->MutableRelation(head).ReserveRows(grown);
+  }
 }
 
 EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
@@ -50,26 +67,11 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
   }
 
   // Round 0: everything already in the database counts as newly
-  // discovered. This uniformly covers EDB facts, program facts, and
-  // IDB-as-input facts (the uniform semantics of Section IV). Facts of
-  // predicates no rule body reads can never gate a match, so the delta
-  // is restricted to the read set -- this is what keeps SCC-ordered
-  // evaluation from re-paying a full round 0 per component.
-  std::set<PredicateId> read_preds;
-  for (const Rule& rule : rules) {
-    for (const Literal& lit : rule.body()) {
-      if (!lit.negated) read_preds.insert(lit.atom.predicate());
-    }
-  }
-  Database delta(db->symbols());
-  for (PredicateId pred : db->NonEmptyPredicates()) {
-    if (!read_preds.contains(pred)) continue;
-    const Relation& rel = db->relation(pred);
-    delta.AddRowRange(pred, rel, 0, rel.size());
-  }
+  // discovered (see RoundZeroDelta).
+  DeltaRanges delta = RoundZeroDelta(rules, *db);
 
-  // The snapshot from which the current delta was cut: rows below these
-  // limits are "old". Round 0 has no old rows (everything is new).
+  // The snapshot the current delta starts at: rows below these limits
+  // are "old". Round 0 has no old rows (everything is new).
   OldLimits old_limits;
 
   // One compiled plan per (rule, delta position), reused across rounds;
@@ -82,6 +84,7 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
     round_span.Note("round", static_cast<std::uint64_t>(stats.iterations));
     const std::uint64_t facts_before_round = stats.facts_derived;
     Watermarks marks = TakeWatermarks(*db);
+    ReserveHeadGrowth(rules, delta, db);
     for (std::size_t ri = 0; ri < rules.size(); ++ri) {
       const Rule& rule = rules[ri];
       if (rule.IsFact()) continue;
@@ -94,7 +97,7 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
       for (std::size_t p = 0; p < rule.body().size(); ++p) {
         const Literal& lit = rule.body()[p];
         if (lit.negated) continue;
-        if (delta.relation(lit.atom.predicate()).empty()) continue;
+        if (delta.Find(lit.atom.predicate()).empty()) continue;
         ++stats.rule_applications;
         ++stats.per_rule[ri].applications;
         TraceSpan apply_span("seminaive/apply");
@@ -114,8 +117,10 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
       }
     }
     round_span.Note("facts", stats.facts_derived - facts_before_round);
+    // The next delta is what this round appended: [marks, size), read in
+    // place from the full relations.
     old_limits = marks;
-    delta = CollectNewFacts(*db, marks);
+    delta = DeltaRanges::Since(*db, marks);
   }
   return stats;
 }

@@ -7,25 +7,42 @@
 #include "ast/program.h"
 #include "eval/database.h"
 #include "eval/eval_stats.h"
+#include "eval/rule_matcher.h"
 #include "util/result.h"
 
 namespace datalog {
 
 /// Snapshot of per-predicate row counts. Relations are append-only, so the
-/// facts discovered during a round are exactly the rows past the snapshot.
-/// Shared by the sequential and parallel semi-naive engines.
+/// facts discovered during a round are exactly the rows past the snapshot:
+/// the next round's delta is the row range [snapshot, size) of each full
+/// relation (DeltaRanges::Since), read in place rather than copied, and
+/// the snapshot becomes the old limit. Shared by the sequential, parallel
+/// and incremental semi-naive drivers.
 using Watermarks = std::unordered_map<PredicateId, std::size_t>;
 
 Watermarks TakeWatermarks(const Database& db);
 
-/// Collects the facts added to `db` since `marks` into a fresh database.
-Database CollectNewFacts(const Database& db, const Watermarks& marks);
+/// The round-0 delta of a fixpoint over `rules`: every fact already in
+/// `db` counts as newly discovered -- EDB facts, program facts and
+/// IDB-as-input facts alike (the uniform semantics of Section IV) -- so
+/// each relation is the range [0, size). Predicates no positive body
+/// literal reads can never gate a match and are left out, which keeps
+/// SCC-ordered evaluation from re-paying a full round 0 per component.
+DeltaRanges RoundZeroDelta(const std::vector<Rule>& rules,
+                           const Database& db);
+
+/// Pre-sizes each rule head's relation in `db` once for the round about
+/// to run, by the rows its delta range holds -- how much it grew in the
+/// previous round (round 0: its initial contents).
+void ReserveHeadGrowth(const std::vector<Rule>& rules,
+                       const DeltaRanges& delta, Database* db);
 
 /// Computes P(db) by semi-naive bottom-up iteration: each round only
 /// considers rule instantiations that use at least one fact discovered in
 /// the previous round. Produces exactly the same database as EvaluateNaive
 /// but with far fewer redundant joins; this is the engine the optimization
-/// benchmarks run on.
+/// benchmarks run on. Each derived fact costs one dedup probe (the
+/// insert); the delta is a row range of the full relation, never a copy.
 ///
 /// The program must be positive and safe; use EvaluateStratified for
 /// programs with negation.

@@ -480,31 +480,34 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
 
   // --- Insertions: continue the semi-naive fixpoint from the new state,
   // seeded with the lower predicates' Δ+ and this SCC's new base facts.
-  // This is the existing delta machinery (ApplyRuleWithDelta +
-  // watermarks) driven by an external delta.
-  Database cur(symbols_);
-  cur.UnionWith(delta_plus_);
+  // The seed is the first round's delta, whole ([0, size) of each seed
+  // relation); every later round's delta is the row range the previous
+  // round appended to the view, read in place.
+  Database seed(symbols_);
+  seed.UnionWith(delta_plus_);
   for (PredicateId pred : plan.preds) {
     for (const Tuple& t : base_plus.relation(pred).rows()) {
       if (db_.AddFact(pred, t)) {
         RecordAdd(pred, t);
-        cur.AddFact(pred, t);
+        seed.AddFact(pred, t);
       }
     }
   }
+  DeltaRanges delta = DeltaRanges::Whole(seed);
   CompiledRuleCache insert_cache;  // plans persist across delta rounds
-  while (!cur.empty()) {
+  while (!delta.empty()) {
     bool delta_used = false;
     Watermarks marks = TakeWatermarks(db_);
+    ReserveHeadGrowth(plan.rules, delta, &db_);
     for (std::size_t ri = 0; ri < plan.rules.size(); ++ri) {
       const Rule& rule = plan.rules[ri];
       if (rule.IsFact()) continue;
       for (std::size_t q = 0; q < rule.body().size(); ++q) {
-        if (cur.relation(rule.body()[q].atom.predicate()).empty()) continue;
+        if (delta.Find(rule.body()[q].atom.predicate()).empty()) continue;
         ++stats->recompute.rule_applications;
         delta_used = true;
         MatchStats local;
-        std::size_t added = ApplyRuleWithDelta(rule, db_, cur, q, &db_,
+        std::size_t added = ApplyRuleWithDelta(rule, db_, delta, q, &db_,
                                                &local, nullptr, &insert_cache,
                                                ri);
         stats->recompute.match.Add(local);
@@ -513,11 +516,12 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
     }
     if (!delta_used) break;  // delta only touches predicates no rule reads
     ++stats->recompute.iterations;
-    Database fresh = CollectNewFacts(db_, marks);
-    for (PredicateId pred : fresh.NonEmptyPredicates()) {
-      for (const Tuple& t : fresh.relation(pred).rows()) RecordAdd(pred, t);
+    delta = DeltaRanges::Since(db_, marks);
+    for (const auto& [pred, range] : delta.ranges()) {
+      for (std::size_t i = range.begin; i < range.end; ++i) {
+        RecordAdd(pred, range.rel->row(i));
+      }
     }
-    cur = std::move(fresh);
   }
 }
 

@@ -59,10 +59,9 @@ struct Harness {
   /// Runs an accepted program; only cares that nothing trips a sanitizer.
   void RunSafely(const bytecode::Program& program) {
     MatchStats stats;
-    std::size_t new_facts = 0;
-    Database out(symbols);
+    DerivedRows out;
     bytecode::Run(program, db, /*delta=*/nullptr, /*old_limits=*/nullptr,
-                  &out, &stats, &new_facts);
+                  &out, &stats);
   }
 };
 

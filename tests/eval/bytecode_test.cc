@@ -50,17 +50,22 @@ struct RunOutcome {
 };
 
 RunOutcome RunProgram(const bytecode::Program& program, const Database& full,
-                      const Database* delta, const OldLimits* old_limits,
+                      const DeltaRanges* delta, const OldLimits* old_limits,
                       const Database& out_base) {
   RunOutcome r{false, MatchStats{}, 0, Database(out_base.symbols())};
   r.out.UnionWith(out_base);
-  r.ok = bytecode::Run(program, full, delta, old_limits, &r.out, &r.stats,
-                       &r.new_facts);
+  DerivedRows derived;
+  r.ok = bytecode::Run(program, full, delta, old_limits, &derived, &r.stats);
+  if (r.ok) {
+    r.new_facts = EmitDerived(
+        derived, static_cast<PredicateId>(program.head_predicate), &r.out,
+        &r.stats);
+  }
   return r;
 }
 
 void ExpectRoundTripExecutes(const CompiledRule& plan, const Database& full,
-                             const Database* delta,
+                             const DeltaRanges* delta,
                              const OldLimits* old_limits,
                              const std::string& label) {
   const bytecode::Program& original = plan.bytecode_program();
@@ -106,9 +111,10 @@ TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
                                    "e(1, 2). e(2, 3). e(3, 1). e(1, 3).\n"
                                    "up(1, 2). up(2, 3). down(3, 4).\n"
                                    "flat(2, 2). flat(3, 3).\n");
-  Database delta(symbols);
-  delta.AddFact(symbols->LookupPredicate("g").value(),
-                {Value::Int(2), Value::Int(3)});
+  // The delta is row 1 of g, {g(2, 3)}; the old snapshot below is row 0.
+  DeltaRanges delta;
+  const PredicateId g = symbols->LookupPredicate("g").value();
+  delta.Set(g, db.relation(g), 1, 2);
 
   struct Case {
     const char* label;
@@ -129,10 +135,10 @@ TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
        std::size_t(-1), false},
   };
   OldLimits old_limits;
-  old_limits[symbols->LookupPredicate("g").value()] = 1;
+  old_limits[g] = 1;
   for (const Case& c : cases) {
     Rule rule = ParseRuleOrDie(symbols, c.rule);
-    const Database* d = c.delta_pos == std::size_t(-1) ? nullptr : &delta;
+    const DeltaRanges* d = c.delta_pos == std::size_t(-1) ? nullptr : &delta;
     CompiledRule plan =
         CompiledRule::Compile(rule, c.delta_pos, c.use_old, db, d);
     ASSERT_TRUE(plan.compiled()) << c.label;
@@ -311,29 +317,27 @@ TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
 
   // Missing delta for a delta-source program.
   Rule delta_rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  Database delta(symbols);
-  delta.AddFact(symbols->LookupPredicate("g").value(),
-                {Value::Int(2), Value::Int(3)});
+  DeltaRanges delta = DeltaRanges::Whole(db);
   CompiledRule delta_plan =
       CompiledRule::Compile(delta_rule, /*delta_pos=*/1, /*use_old=*/false,
                             db, &delta);
   ASSERT_FALSE(delta_plan.bytecode_program().empty());
   MatchStats stats;
-  std::size_t new_facts = 0;
-  Database out(symbols);
+  DerivedRows out;
   EXPECT_FALSE(bytecode::Run(delta_plan.bytecode_program(), db,
-                             /*delta=*/nullptr, nullptr, &out, &stats,
-                             &new_facts));
+                             /*delta=*/nullptr, nullptr, &out, &stats));
   EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
             0u);
+  EXPECT_EQ(out.count, 0u);
+  EXPECT_TRUE(out.ids.empty());
 
   // Row-store relations: the VM declines (id-space execution needs
   // columns).
   SetColumnarStorage(false);
   Database row_db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
   SetColumnarStorage(true);
-  EXPECT_FALSE(bytecode::Run(program, row_db, nullptr, nullptr, &out, &stats,
-                             &new_facts));
+  EXPECT_FALSE(bytecode::Run(program, row_db, nullptr, nullptr, &out, &stats));
+  EXPECT_EQ(out.count, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // would surface as a cross-engine mismatch in the differential fuzzer,
 // so keep this suite the first, cheapest line of defense.
 
+#include <span>
 #include <vector>
 
 #include "eval/relation.h"
@@ -134,11 +135,14 @@ TEST_P(RelationConformanceTest, OldLimitWatermarkSnapshotsStaleRows) {
   EXPECT_EQ(rel.row(0), T2(1, 2));
   EXPECT_EQ(rel.row(1), T2(3, 4));
   // Old-snapshot filtering as compiled plans do it: postings for key 1
-  // split across the watermark.
+  // split across the watermark, and the range [0, watermark) keeps the
+  // first.
   const auto& hits = rel.Lookup(0, Value::Int(1));
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_LT(hits[0], watermark);
   EXPECT_GE(hits[1], watermark);
+  EXPECT_EQ(Relation::RowsInRange(hits, 0, watermark).size(), 1u);
+  EXPECT_EQ(Relation::RowsInRange(hits, watermark, rel.size()).size(), 1u);
 }
 
 TEST_P(RelationConformanceTest, EraseAllRemovesAndCompacts) {
@@ -207,8 +211,7 @@ TEST_P(RelationConformanceTest, PreparedViewsAgreeWithLookup) {
 }
 
 TEST_P(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
-  // Zero bound columns: the empty key indexes every row (the compiled
-  // matcher's zero-arity old-snapshot probe relies on this).
+  // Zero bound columns: the empty key indexes every row.
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
@@ -260,6 +263,109 @@ TEST_P(RelationConformanceTest, ColumnViewMirrorsRows) {
                 rel.row(i)[static_cast<std::size_t>(c)]);
     }
   }
+}
+
+std::vector<std::uint32_t> InRange(const std::vector<std::uint32_t>& postings,
+                                   std::size_t begin, std::size_t end) {
+  std::span<const std::uint32_t> rows =
+      Relation::RowsInRange(postings, begin, end);
+  return {rows.begin(), rows.end()};
+}
+
+TEST_P(RelationConformanceTest, RangeRestrictedPostingsLookups) {
+  // A delta or old-snapshot probe reads the full relation's postings
+  // restricted to a row range, which may start mid-postings and end
+  // before the last row.
+  Relation rel(2);
+  for (std::int64_t i = 0; i < 10; ++i) rel.Insert(T2(i % 2, i));
+  const std::vector<std::uint32_t>& even = rel.Lookup(0, Value::Int(0));
+  ASSERT_EQ(even, (std::vector<std::uint32_t>{0, 2, 4, 6, 8}));
+  EXPECT_EQ(InRange(even, 3, 7), (std::vector<std::uint32_t>{4, 6}));
+  EXPECT_EQ(InRange(even, 4, 5), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(InRange(even, 2, 9), (std::vector<std::uint32_t>{2, 4, 6, 8}));
+  EXPECT_EQ(InRange(even, 0, 10), even);
+  EXPECT_TRUE(InRange(even, 5, 6).empty());    // between two postings
+  EXPECT_TRUE(InRange(even, 9, 10).empty());   // past the last posting
+  EXPECT_TRUE(InRange(even, 0, 0).empty());    // empty range
+  EXPECT_TRUE(InRange(Relation::EmptyRowIds(), 0, 10).empty());
+  // Multi-column postings and prepared views obey the same ranges.
+  const std::vector<std::uint32_t>& one =
+      rel.PrepareIndex({0, 1}).Find(T2(1, 7));
+  EXPECT_EQ(InRange(one, 7, 8), (std::vector<std::uint32_t>{7}));
+  EXPECT_TRUE(InRange(one, 0, 7).empty());
+  EXPECT_TRUE(InRange(one, 8, 10).empty());
+  // Rows appended after a range was cut stay outside it.
+  rel.Insert(T2(0, 10));
+  EXPECT_EQ(InRange(rel.Lookup(0, Value::Int(0)), 3, 10),
+            (std::vector<std::uint32_t>{4, 6, 8}));
+}
+
+TEST_P(RelationConformanceTest, RowIdLookupThroughDedupTable) {
+  // A fully bound probe finds its one candidate row through the dedup
+  // table and tests the id against the atom's range.
+  Relation rel(2);
+  rel.Insert(T2(1, 2));
+  rel.Insert(T2(3, 4));
+  rel.Insert(T2(5, 6));
+  EXPECT_EQ(rel.FindRowId(T2(1, 2)), 0u);
+  EXPECT_EQ(rel.FindRowId(T2(5, 6)), 2u);
+  EXPECT_EQ(rel.FindRowId(T2(6, 5)), Relation::kNoRow);
+  EXPECT_EQ(rel.FindRowId(T2(123456, 654321)), Relation::kNoRow);
+  std::vector<std::uint32_t> ids;
+  ValueDictionary::Global().InternRow(T2(3, 4), &ids);
+  EXPECT_EQ(rel.FindRowIdByIds(ids), 1u);
+  // A key of the wrong arity never matches.
+  EXPECT_EQ(rel.FindRowIdByIds({ids[0]}), Relation::kNoRow);
+  // Many rows: every row is found at its own id, across table growth.
+  Relation big(2);
+  for (std::int64_t i = 0; i < 500; ++i) big.Insert(T2(i, i * 7 % 13));
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    EXPECT_EQ(big.FindRowId(big.row(i)), i);
+  }
+}
+
+TEST_P(RelationConformanceTest, RowIdLookupAfterEraseAll) {
+  // EraseAll compacts rows and empties the indexes in place; the dedup
+  // table must then map every survivor to its shifted row id, forget
+  // the erased rows, and keep outstanding views finding nothing.
+  Relation rel(2);
+  for (std::int64_t i = 0; i < 6; ++i) rel.Insert(T2(i, i + 1));
+  Relation::SingleIndexView view = rel.PrepareSingleIndex(0);
+  ASSERT_EQ(view.Find(Value::Int(4)).size(), 1u);
+  EXPECT_EQ(rel.EraseAll({T2(0, 1), T2(3, 4)}), 2u);
+  EXPECT_TRUE(view.Find(Value::Int(4)).empty());
+  EXPECT_EQ(rel.FindRowId(T2(0, 1)), Relation::kNoRow);
+  EXPECT_EQ(rel.FindRowId(T2(3, 4)), Relation::kNoRow);
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    EXPECT_EQ(rel.FindRowId(rel.row(i)), i);
+  }
+  EXPECT_EQ(rel.FindRowId(T2(4, 5)), 2u);
+  // A re-inserted row takes the next id and is found there.
+  EXPECT_TRUE(rel.Insert(T2(3, 4)));
+  EXPECT_EQ(rel.FindRowId(T2(3, 4)), 4u);
+  EXPECT_EQ(InRange(rel.Lookup(0, Value::Int(3)), 4, 5),
+            (std::vector<std::uint32_t>{4}));
+}
+
+TEST_P(RelationConformanceTest, InsertIdRowsDedupsWithinAndAcrossBatches) {
+  ValueDictionary& dict = ValueDictionary::Global();
+  std::vector<std::uint32_t> a;
+  std::vector<std::uint32_t> b;
+  dict.InternRow(T2(71, 72), &a);
+  dict.InternRow(T2(72, 71), &b);
+  Relation rel(2);
+  // Duplicates inside one batch and against earlier rows are dropped;
+  // the first occurrence keeps its place.
+  std::vector<std::uint32_t> batch = {a[0], a[1], b[0], b[1], a[0], a[1]};
+  EXPECT_EQ(rel.InsertIdRows(batch, 3), 2u);
+  EXPECT_EQ(rel.InsertIdRows(batch, 3), 0u);
+  ASSERT_EQ(rel.size(), 2u);
+  EXPECT_EQ(rel.row(0), T2(71, 72));
+  EXPECT_EQ(rel.row(1), T2(72, 71));
+  // Zero-arity rows occupy no ids; the count says how many there are.
+  Relation unit(0);
+  EXPECT_EQ(unit.InsertIdRows({}, 3), 1u);
+  EXPECT_EQ(unit.size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RowAndColumnar, RelationConformanceTest,

@@ -137,9 +137,10 @@ TEST(RuleMatcherTest, NegatedLiteralFiltersMatches) {
 TEST(RuleMatcherTest, DeltaRestrictsOnePosition) {
   auto symbols = MakeSymbols();
   Database full = ParseDatabaseOrDie(symbols, "g(1, 2). g(2, 3).");
-  Database delta(symbols);
+  // The delta is row 1 of the full relation: {g(2, 3)}.
   PredicateId g = symbols->LookupPredicate("g").value();
-  delta.AddFact(g, {Value::Int(2), Value::Int(3)});
+  DeltaRanges delta;
+  delta.Set(g, full.relation(g), 1, 2);
   Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- g(x, y), g(y, z).");
   Database out(symbols);
   // Position 0 in delta: g(2,3) as first atom needs g(3,z) - none.

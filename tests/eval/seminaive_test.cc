@@ -1,5 +1,8 @@
 #include "eval/seminaive.h"
 
+#include <cstddef>
+#include <cstdint>
+
 #include "eval/naive.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -64,11 +67,22 @@ TEST(SemiNaiveTest, MatchesNaiveOnChain) {
   EXPECT_EQ(d1, d2);
 }
 
+// googletest names each instance after a byte dump of its parameter, so
+// every byte must be defined: `unused` fills what would otherwise be
+// uninitialized padding after `shape` and made the test names differ
+// from run to run.
 struct ShapeParam {
+  ShapeParam(GraphShape s, std::size_t n, std::size_t e)
+      : shape(s), nodes(n), edges(e) {}
   GraphShape shape;
+  std::uint32_t unused = 0;
   std::size_t nodes;
   std::size_t edges;
 };
+static_assert(sizeof(ShapeParam) ==
+                  sizeof(GraphShape) + sizeof(std::uint32_t) +
+                      2 * sizeof(std::size_t),
+              "ShapeParam must have no padding");
 
 class SemiNaiveEquivalenceTest : public ::testing::TestWithParam<ShapeParam> {};
 

@@ -209,6 +209,8 @@ TEST_F(TraceInvariantTest, MetricsEqualEvalStatsBitForBit) {
     EXPECT_EQ(m.Value("eval.tuples_scanned", labels),
               stats->match.tuples_scanned)
         << engine.name;
+    EXPECT_EQ(m.Value("eval.dedup_probes", labels), stats->match.dedup_probes)
+        << engine.name;
     EXPECT_EQ(m.Value("eval.parallel_rounds", labels),
               stats->parallel_rounds)
         << engine.name;

@@ -10,8 +10,10 @@
 # then repeats the incremental-maintenance fuzzer under ASan+UBSan. Also
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
-# regression gate (eval.tuples_scanned / eval.index_lookups on a fixed
-# corpus must stay at or below tools/work_counters.baseline), and runs
+# regression gate (eval.tuples_scanned / eval.index_lookups /
+# eval.dedup_probes on a fixed corpus must stay at or below
+# tools/work_counters.baseline, and dedup_probes must equal the emitted
+# rows -- one dedup probe per derived fact), and runs
 # the datalog lint gate (tools/lint.sh: `datalog-opt check` over every
 # checked-in .dl program must report no error diagnostics).
 #
@@ -69,11 +71,14 @@ validate_obs_json() {
 
 # Deterministic work-counter regression gate. Join-order plans are
 # resolved once per (rule, delta position) against whole-round sizes, so
-# eval.tuples_scanned / eval.index_lookups are exactly reproducible on a
-# fixed corpus; any increase over the checked-in baseline
-# (tools/work_counters.baseline) is a planner or matcher regression, not
-# noise. Regenerate the baseline by pasting this gate's "measured" output
-# after a deliberate change.
+# eval.tuples_scanned / eval.index_lookups / eval.dedup_probes are exactly
+# reproducible on a fixed corpus; any increase over the checked-in
+# baseline (tools/work_counters.baseline) is a planner, matcher or write-
+# path regression, not noise. Every emitted row costs exactly one dedup
+# probe, and on these negation-free cases every substitution is emitted,
+# so the gate also fails unless dedup_probes equals eval.substitutions.
+# Regenerate the baseline by pasting this gate's "measured" output after
+# a deliberate change.
 run_work_counter_gate() {
   local build_dir="$1"
   if ! command -v python3 >/dev/null 2>&1; then
@@ -142,12 +147,14 @@ run_work_counter_gate() {
         >> "${tmp}/measured.txt" <<'PYEOF'
 import json, sys
 name, path = sys.argv[1], sys.argv[2]
-counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0}
+counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0,
+            "eval.dedup_probes": 0, "eval.substitutions": 0}
 with open(path) as f:
     for m in json.load(f)["metrics"]:
         if m["name"] in counters:
             counters[m["name"]] += m["value"]
-print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"])
+print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"],
+      counters["eval.dedup_probes"], counters["eval.substitutions"])
 PYEOF
     done
   done
@@ -161,28 +168,34 @@ def load(path):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            name, scanned, lookups = line.split()
-            rows[name] = (int(scanned), int(lookups))
+            name, *values = line.split()
+            rows[name] = tuple(int(v) for v in values)
     return rows
 baseline = load(sys.argv[1])
 measured = load(sys.argv[2])
 failed = False
-for name, (scanned, lookups) in sorted(measured.items()):
+for name, (scanned, lookups, dedup, substitutions) in sorted(
+        measured.items()):
     if name not in baseline:
         print(f"work-counter gate: no baseline for case '{name}'")
         failed = True
         continue
-    base_scanned, base_lookups = baseline[name]
+    base_scanned, base_lookups, base_dedup = baseline[name][:3]
     tag = "OK"
-    if scanned > base_scanned or lookups > base_lookups:
+    if scanned > base_scanned or lookups > base_lookups or dedup > base_dedup:
         tag = "REGRESSION"
         failed = True
+    if dedup != substitutions:
+        tag = "DEDUP != EMITTED ROWS"
+        failed = True
     print(f"  {name}: tuples_scanned {scanned} (baseline {base_scanned}), "
-          f"index_lookups {lookups} (baseline {base_lookups}) {tag}")
+          f"index_lookups {lookups} (baseline {base_lookups}), "
+          f"dedup_probes {dedup} (baseline {base_dedup}, emitted rows "
+          f"{substitutions}) {tag}")
 sys.exit(1 if failed else 0)
 PYEOF
   rm -rf "${tmp}"
-  echo "== OK (work counters at or below baseline)"
+  echo "== OK (work counters at or below baseline, one dedup probe per row)"
 }
 
 # Datalog lint gate: every checked-in .dl program must be free of
