@@ -1,5 +1,7 @@
 #include "ast/rule.h"
 
+#include "util/hash.h"
+
 namespace datalog {
 
 Rule Rule::Positive(Atom head, std::vector<Atom> body_atoms) {
@@ -9,6 +11,15 @@ Rule Rule::Positive(Atom head, std::vector<Atom> body_atoms) {
     body.push_back(Literal{std::move(a), /*negated=*/false});
   }
   return Rule(std::move(head), std::move(body));
+}
+
+std::size_t Rule::Hash() const {
+  std::size_t seed = head_.Hash();
+  for (const Literal& lit : body_) {
+    HashCombine(seed, lit.atom.Hash());
+    HashCombine(seed, lit.negated ? 1 : 0);
+  }
+  return seed;
 }
 
 bool Rule::IsPositive() const {

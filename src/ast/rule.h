@@ -59,10 +59,18 @@ class Rule {
   }
   friend bool operator!=(const Rule& a, const Rule& b) { return !(a == b); }
 
+  /// Hash of the head and body literals, consistent with operator== (the
+  /// span is ignored).
+  std::size_t Hash() const;
+
  private:
   Atom head_;
   std::vector<Literal> body_;
   SourceSpan span_;
+};
+
+struct RuleHash {
+  std::size_t operator()(const Rule& r) const { return r.Hash(); }
 };
 
 }  // namespace datalog

@@ -41,14 +41,24 @@ std::vector<Diagnostic> SafetyDiagnostics(const Rule& rule,
                                           std::size_t rule_index,
                                           const RuleSourceSpans* spans) {
   std::vector<Diagnostic> out;
-  const std::string label = RuleLabel(rule, symbols, rule_index);
-  const std::string rule_text = ToString(rule, symbols);
+  // Formatting the rule costs more than checking it, and valid rules --
+  // the common case, validated on every evaluation -- need neither
+  // string: build both on the first diagnostic only.
+  std::string label;
+  std::string rule_text;
+  auto describe = [&] {
+    if (label.empty()) {
+      label = RuleLabel(rule, symbols, rule_index);
+      rule_text = ToString(rule, symbols);
+    }
+  };
   const AtomSourceSpans* head_spans = spans ? &spans->head : nullptr;
 
   if (rule.IsFact()) {
     const auto& args = rule.head().args();
     for (std::size_t i = 0; i < args.size(); ++i) {
       if (!args[i].is_variable()) continue;
+      describe();
       Diagnostic d;
       d.severity = Severity::kError;
       d.pass = "safety";
@@ -74,6 +84,7 @@ std::vector<Diagnostic> SafetyDiagnostics(const Rule& rule,
     if (!head_args[i].is_variable()) continue;
     VariableId v = head_args[i].var();
     if (positive.count(v) != 0 || !reported.insert(v).second) continue;
+    describe();
     Diagnostic d;
     d.severity = Severity::kError;
     d.pass = "safety";
@@ -99,6 +110,7 @@ std::vector<Diagnostic> SafetyDiagnostics(const Rule& rule,
       if (!args[i].is_variable()) continue;
       VariableId v = args[i].var();
       if (positive.count(v) != 0 || !reported.insert(v).second) continue;
+      describe();
       Diagnostic d;
       d.severity = Severity::kError;
       d.pass = "safety";

@@ -4,6 +4,7 @@
 
 #include "ast/pretty_print.h"
 #include "ast/validate.h"
+#include "eval/compiled_rule.h"
 #include "eval/seminaive.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -77,8 +78,12 @@ std::string ChaseTranscript::ToString(const SymbolTable& symbols,
 Result<ChaseResult> Chase(const Program& program, const std::vector<Tgd>& tgds,
                           Database* db, const ChaseBudget& budget,
                           const std::optional<ChaseGoal>& goal,
-                          ChaseTranscript* transcript) {
+                          ChaseTranscript* transcript,
+                          CompiledRuleCache* cache) {
   DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
+  // Every round runs the same rules to their fixpoint: plan them once.
+  CompiledRuleCache chase_cache;
+  if (cache == nullptr) cache = &chase_cache;
 
   TraceSpan span("chase");
   span.Note("tgds", tgds.size());
@@ -112,7 +117,7 @@ Result<ChaseResult> Chase(const Program& program, const std::vector<Tgd>& tgds,
     Marks marks = Snapshot(*db);
     {
       TraceSpan rules_span("chase/rules");
-      RunSemiNaiveFixpoint(program.rules(), db);
+      RunSemiNaiveFixpoint(program.rules(), db, cache);
       rules_span.Note("facts", db->NumFacts());
     }
     RecordStep(*db, marks, ChaseStep::Kind::kRules, 0, transcript);

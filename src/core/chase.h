@@ -11,6 +11,8 @@
 
 namespace datalog {
 
+class CompiledRuleCache;  // eval/compiled_rule.h
+
 /// Resource limits for chases involving embedded tgds, which may not
 /// terminate (Section VIII: "some sets of tgds can be applied to an
 /// initial DB forever"). The defaults are generous for program-sized
@@ -75,11 +77,15 @@ struct ChaseTranscript {
 /// budget (Theorem 1's positive direction).
 ///
 /// `program` may be empty (chasing with tgds only) and `tgds` may be empty
-/// (plain bottom-up evaluation).
+/// (plain bottom-up evaluation). Every round's rule fixpoint draws its join
+/// plans from one cache (see RunSemiNaiveFixpoint): `cache` when non-null,
+/// so the plans outlive the chase, else a chase-local one. The result
+/// never depends on it.
 Result<ChaseResult> Chase(const Program& program, const std::vector<Tgd>& tgds,
                           Database* db, const ChaseBudget& budget = {},
                           const std::optional<ChaseGoal>& goal = std::nullopt,
-                          ChaseTranscript* transcript = nullptr);
+                          ChaseTranscript* transcript = nullptr,
+                          CompiledRuleCache* cache = nullptr);
 
 }  // namespace datalog
 

@@ -29,10 +29,11 @@ struct ContainmentProof {
 /// Attempts to prove P2 ⊆ P1 (containment under ordinary equivalence,
 /// which is undecidable in general) using the tgds `tgds`, by the monotone
 /// argument at the end of Section X: P2 ⊆_SAT(T) P1 plus a preliminary DB
-/// of P1 that satisfies T imply P2 ⊆ P1.
+/// of P1 that satisfies T imply P2 ⊆ P1. A non-null `cache` supplies the
+/// join plans of (1)'s chases (see Chase); no verdict depends on it.
 Result<ContainmentProof> ProveContainmentWithTgds(
     const Program& p1, const Program& p2, const std::vector<Tgd>& tgds,
-    const ChaseBudget& budget = {});
+    const ChaseBudget& budget = {}, CompiledRuleCache* cache = nullptr);
 
 /// The result of an equivalence attempt.
 struct EquivalenceProof {
@@ -48,10 +49,12 @@ struct EquivalenceProof {
 /// and P2 ⊆ P1 by the tgd recipe. Overall kProved iff both succeed;
 /// kDisproved iff P1 ⊄ᵘ P2... note that even then the programs might be
 /// equivalent, so kUnknown is reported instead; the verdict is never a
-/// definite "not equivalent".
+/// definite "not equivalent". `cache` serves the uniform-containment
+/// fixpoints and the chases alike, so an optimizer proving many
+/// candidates against one program plans its unchanged rules once.
 Result<EquivalenceProof> ProveEquivalentWithTgds(
     const Program& p1, const Program& p2, const std::vector<Tgd>& tgds,
-    const ChaseBudget& budget = {});
+    const ChaseBudget& budget = {}, CompiledRuleCache* cache = nullptr);
 
 }  // namespace datalog
 

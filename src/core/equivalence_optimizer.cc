@@ -5,6 +5,7 @@
 
 #include "ast/validate.h"
 #include "core/equivalence.h"
+#include "eval/compiled_rule.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -120,6 +121,7 @@ std::vector<Tgd> CandidateTgds(const Rule& rule,
 Result<EquivalenceOptimizeResult> OptimizeUnderEquivalence(
     const Program& program, const EquivalenceOptimizerOptions& options) {
   DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
+  CompiledRuleCache cache;
   TraceSpan span("equivalence/optimize");
   span.Note("rules", program.NumRules());
   EquivalenceOptimizeResult result{program, {}, 0};
@@ -162,7 +164,7 @@ Result<EquivalenceOptimizeResult> OptimizeUnderEquivalence(
         DATALOG_ASSIGN_OR_RETURN(
             EquivalenceProof proof,
             ProveEquivalentWithTgds(result.program, candidate_program, {tgd},
-                                    options.budget));
+                                    options.budget, &cache));
         if (proof.overall == ProofOutcome::kProved) {
           candidate_span.Note("proved", 1);
           result.program = std::move(candidate_program);

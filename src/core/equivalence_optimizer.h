@@ -54,6 +54,10 @@ std::vector<Tgd> CandidateTgds(const Rule& rule,
 /// equivalence but NOT under uniform equivalence (e.g. A(y,w) in
 /// Example 18); run MinimizeProgram first for the uniform-equivalence
 /// redundancies.
+///
+/// Every proof attempt of the run draws its join plans from one
+/// run-local CompiledRuleCache, so a rule the candidates leave unchanged
+/// is planned once per run, not once per fixpoint.
 Result<EquivalenceOptimizeResult> OptimizeUnderEquivalence(
     const Program& program, const EquivalenceOptimizerOptions& options = {});
 

@@ -7,6 +7,7 @@
 
 #include "ast/validate.h"
 #include "core/uniform_containment.h"
+#include "eval/compiled_rule.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -30,11 +31,13 @@ std::vector<std::size_t> ConsiderationOrder(std::size_t n,
 /// Minimizes the atoms of the rule at `rule_index` of `program`, testing
 /// each candidate deletion against the whole current program (the Fig. 2
 /// refinement of Fig. 1: the test is r-hat subseteq^u P, not
-/// r-hat subseteq^u r). Mutates the rule in place.
+/// r-hat subseteq^u r). Mutates the rule in place. `cache` serves the
+/// tests' join plans.
 Result<MinimizeReport> MinimizeRuleAtoms(Program* program,
                                          std::size_t rule_index,
                                          const MinimizeOptions& options,
-                                         std::size_t* remaining_tests) {
+                                         std::size_t* remaining_tests,
+                                         CompiledRuleCache* cache) {
   MinimizeReport report;
   TraceSpan span("minimize/rule_atoms");
   span.Note("rule", rule_index);
@@ -68,7 +71,7 @@ Result<MinimizeReport> MinimizeRuleAtoms(Program* program,
     }
     ++report.containment_tests;
     DATALOG_ASSIGN_OR_RETURN(bool redundant,
-                             UniformlyContainsRule(*program, candidate));
+                             UniformlyContainsRule(*program, candidate, cache));
     if (redundant) {
       report.removed_atoms.push_back(MinimizeReport::RemovedAtom{
           rule_index, rule.body()[current_pos].atom});
@@ -98,8 +101,11 @@ Result<Rule> MinimizeRule(const Rule& rule,
   std::size_t remaining = options.max_containment_tests;
   std::size_t* budget = options.max_containment_tests == 0 ? nullptr
                                                            : &remaining;
-  DATALOG_ASSIGN_OR_RETURN(MinimizeReport r,
-                           MinimizeRuleAtoms(&single, 0, options, budget));
+  CompiledRuleCache cache;
+  DATALOG_ASSIGN_OR_RETURN(
+      MinimizeReport r,
+      MinimizeRuleAtoms(&single, 0, options, budget, &cache));
+  r.plans_compiled = cache.plans_compiled();
   if (report != nullptr) report->Add(r);
   return single.rules()[0];
 }
@@ -147,8 +153,12 @@ Result<bool> AtomAdditionIsSound(const Program& program,
 
 Result<Program> MinimizeProgram(const Program& program,
                                 MinimizeReport* report,
-                                const MinimizeOptions& options) {
+                                const MinimizeOptions& options,
+                                CompiledRuleCache* cache) {
   DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
+  CompiledRuleCache run_cache;
+  if (cache == nullptr) cache = &run_cache;
+  const std::uint64_t plans_before = cache->plans_compiled();
   TraceSpan span("minimize/program");
   span.Note("rules", program.NumRules());
   Program current = program;
@@ -161,8 +171,9 @@ Result<Program> MinimizeProgram(const Program& program,
   // This must complete before any rule is deleted; Theorem 2's proof
   // depends on rules keeping their bodies intact until phase 2.
   for (std::size_t i = 0; i < current.NumRules(); ++i) {
-    DATALOG_ASSIGN_OR_RETURN(MinimizeReport r,
-                             MinimizeRuleAtoms(&current, i, options, budget));
+    DATALOG_ASSIGN_OR_RETURN(
+        MinimizeReport r,
+        MinimizeRuleAtoms(&current, i, options, budget, cache));
     total.Add(r);
     if (total.budget_exhausted) break;
   }
@@ -191,7 +202,7 @@ Result<Program> MinimizeProgram(const Program& program,
     TraceSpan candidate_span("minimize/rule_candidate");
     candidate_span.Note("rule", original_index);
     DATALOG_ASSIGN_OR_RETURN(bool redundant,
-                             UniformlyContainsRule(without, rule));
+                             UniformlyContainsRule(without, rule, cache));
     candidate_span.Note("redundant", redundant ? 1 : 0);
     candidate_span.End();
     if (redundant) {
@@ -203,6 +214,7 @@ Result<Program> MinimizeProgram(const Program& program,
     }
   }
 
+  total.plans_compiled = cache->plans_compiled() - plans_before;
   if (span.active()) {
     span.Note("containment_tests",
               static_cast<std::uint64_t>(total.containment_tests));
@@ -210,6 +222,7 @@ Result<Program> MinimizeProgram(const Program& program,
               static_cast<std::uint64_t>(total.atoms_removed));
     span.Note("rules_removed",
               static_cast<std::uint64_t>(total.rules_removed));
+    span.Note("plans_compiled", total.plans_compiled);
   }
   MetricsRegistry& metrics = MetricsRegistry::Get();
   if (metrics.enabled()) {
@@ -220,6 +233,7 @@ Result<Program> MinimizeProgram(const Program& program,
                 static_cast<std::uint64_t>(total.atoms_removed));
     metrics.Add("minimize.rules_removed", {},
                 static_cast<std::uint64_t>(total.rules_removed));
+    metrics.Add("minimize.plans_compiled", {}, total.plans_compiled);
   }
   if (report != nullptr) report->Add(total);
   return current;

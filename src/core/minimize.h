@@ -11,6 +11,8 @@
 
 namespace datalog {
 
+class CompiledRuleCache;  // eval/compiled_rule.h
+
 /// Options for the minimization algorithms.
 struct MinimizeOptions {
   /// When set, atoms (and, for programs, rules) are considered for
@@ -42,6 +44,10 @@ struct MinimizeReport {
   std::size_t atoms_removed = 0;
   std::size_t rules_removed = 0;
   std::size_t containment_tests = 0;
+  /// Join plans compiled or replanned for the containment tests (see
+  /// MatchStats::plans_compiled). One plan cache serves the whole run, so
+  /// this grows with the rules the run changed, not with the tests.
+  std::uint64_t plans_compiled = 0;
   std::vector<RemovedAtom> removed_atoms;
   std::vector<Rule> removed_rules;
   /// Original program indices of `removed_rules` (parallel vector), which
@@ -57,6 +63,7 @@ struct MinimizeReport {
     atoms_removed += other.atoms_removed;
     rules_removed += other.rules_removed;
     containment_tests += other.containment_tests;
+    plans_compiled += other.plans_compiled;
     removed_atoms.insert(removed_atoms.end(), other.removed_atoms.begin(),
                          other.removed_atoms.end());
     removed_rules.insert(removed_rules.end(), other.removed_rules.begin(),
@@ -84,9 +91,17 @@ Result<Rule> MinimizeRule(const Rule& rule,
 /// has neither a redundant atom nor a redundant rule under uniform
 /// equivalence; it is uniformly equivalent to the input but not
 /// necessarily unique.
+///
+/// Every containment test of the run draws its join plans from one
+/// CompiledRuleCache -- `cache` when non-null, else a run-local one. A
+/// test runs the current program, which a committed deletion changes by
+/// one rule, so each rule is planned once per version instead of once per
+/// test. The result and the report never depend on the cache, except
+/// for `plans_compiled`.
 Result<Program> MinimizeProgram(const Program& program,
                                 MinimizeReport* report = nullptr,
-                                const MinimizeOptions& options = {});
+                                const MinimizeOptions& options = {},
+                                CompiledRuleCache* cache = nullptr);
 
 /// Minimization for programs WITH stratified negation: the positive rules
 /// are minimized (Fig. 2) against the set of all positive rules; rules

@@ -1,6 +1,7 @@
 #include "core/model_containment.h"
 
 #include "core/freeze.h"
+#include "eval/compiled_rule.h"
 
 namespace datalog {
 
@@ -8,12 +9,13 @@ Result<ProofOutcome> ModelContainmentForRule(const Program& p,
                                              const std::vector<Tgd>& tgds,
                                              const Rule& r,
                                              const ChaseBudget& budget,
-                                             ChaseTranscript* transcript) {
+                                             ChaseTranscript* transcript,
+                                             CompiledRuleCache* cache) {
   DATALOG_ASSIGN_OR_RETURN(FrozenRule frozen, FreezeRule(r, p.symbols()));
   ChaseGoal goal{frozen.head_pred, frozen.head_tuple};
   DATALOG_ASSIGN_OR_RETURN(
       ChaseResult chase,
-      Chase(p, tgds, &frozen.body, budget, goal, transcript));
+      Chase(p, tgds, &frozen.body, budget, goal, transcript, cache));
   switch (chase.status) {
     case ChaseStatus::kGoalReached:
       return ProofOutcome::kProved;
@@ -30,11 +32,16 @@ Result<ProofOutcome> ModelContainmentForRule(const Program& p,
 Result<ProofOutcome> ModelContainment(const Program& p1,
                                       const std::vector<Tgd>& tgds,
                                       const Program& p2,
-                                      const ChaseBudget& budget) {
+                                      const ChaseBudget& budget,
+                                      CompiledRuleCache* cache) {
+  // Every chase runs p1's rules: plan them once for all of p2's rules.
+  CompiledRuleCache call_cache;
+  if (cache == nullptr) cache = &call_cache;
   bool any_unknown = false;
   for (const Rule& rule : p2.rules()) {
-    DATALOG_ASSIGN_OR_RETURN(ProofOutcome outcome,
-                             ModelContainmentForRule(p1, tgds, rule, budget));
+    DATALOG_ASSIGN_OR_RETURN(
+        ProofOutcome outcome,
+        ModelContainmentForRule(p1, tgds, rule, budget, nullptr, cache));
     if (outcome == ProofOutcome::kDisproved) return ProofOutcome::kDisproved;
     if (outcome == ProofOutcome::kUnknown) any_unknown = true;
   }

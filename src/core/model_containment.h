@@ -19,22 +19,23 @@ namespace datalog {
 /// tgds).
 /// `transcript`, when non-null, records the chase steps (the paper's
 /// Example 6/11-style narration of how the frozen head was derived, or of
-/// the counterexample fixpoint).
-Result<ProofOutcome> ModelContainmentForRule(const Program& p,
-                                             const std::vector<Tgd>& tgds,
-                                             const Rule& r,
-                                             const ChaseBudget& budget = {},
-                                             ChaseTranscript* transcript =
-                                                 nullptr);
+/// the counterexample fixpoint). `cache` supplies the chase's join plans
+/// (see Chase).
+Result<ProofOutcome> ModelContainmentForRule(
+    const Program& p, const std::vector<Tgd>& tgds, const Rule& r,
+    const ChaseBudget& budget = {}, ChaseTranscript* transcript = nullptr,
+    CompiledRuleCache* cache = nullptr);
 
 /// Tests SAT(T) ∩ M(P1) ⊆ M(P2): the conjunction of the per-rule tests
 /// over the rules of P2 (Section VIII). With empty `tgds` this decides
 /// uniform containment P2 ⊆ᵘ P1 (Proposition 2 / Corollary 2) and never
-/// returns kUnknown.
+/// returns kUnknown. One plan cache -- `cache`, or a call-local one --
+/// serves every per-rule chase.
 Result<ProofOutcome> ModelContainment(const Program& p1,
                                       const std::vector<Tgd>& tgds,
                                       const Program& p2,
-                                      const ChaseBudget& budget = {});
+                                      const ChaseBudget& budget = {},
+                                      CompiledRuleCache* cache = nullptr);
 
 }  // namespace datalog
 

@@ -6,6 +6,7 @@
 #include "ast/validate.h"
 #include "core/freeze.h"
 #include "core/tgd.h"
+#include "eval/compiled_rule.h"
 #include "eval/naive.h"
 
 namespace datalog {
@@ -89,17 +90,19 @@ std::optional<CanonicalCase> BuildCase(
 /// Checks one canonical case: interleaves chasing d with T (preservation
 /// mode only) with recomputing <d, P^n(d)> and testing whether the
 /// instantiated left-hand side still exhibits a violation (the interleaved
-/// loop described after Fig. 3).
+/// loop described after Fig. 3). `cache` holds `pn_program`'s plans.
 Result<ProofOutcome> CheckCase(CanonicalCase kase, const Program& pn_program,
                                const Tgd& tau, const std::vector<Tgd>& all_tgds,
-                               Mode mode, const ChaseBudget& budget) {
+                               Mode mode, const ChaseBudget& budget,
+                               CompiledRuleCache* cache) {
   NullPool nulls;
   for (std::size_t round = 0;; ++round) {
     // <d, P^n(d)>.
     Database with_pn(kase.d.symbols());
     with_pn.UnionWith(kase.d);
     DATALOG_RETURN_IF_ERROR(
-        ApplyOnce(pn_program, kase.d, &with_pn, /*stats=*/nullptr).status());
+        ApplyOnce(pn_program, kase.d, &with_pn, /*stats=*/nullptr, cache)
+            .status());
 
     if (LhsInstantiationSatisfied(with_pn, tau, kase.lhs_binding)) {
       return ProofOutcome::kProved;  // no violation exhibited for this case
@@ -140,6 +143,9 @@ Result<ProofOutcome> RunProcedure(const Program& program,
 
   Program pn_program(symbols);
   for (const Rule& rule : rule_pool) pn_program.AddRule(rule);
+  // P^n is fixed for the whole procedure: plan its rules once, not once
+  // per round of every canonical case.
+  CompiledRuleCache pn_cache;
 
   bool any_unknown = false;
   for (const Tgd& tau : tgds) {
@@ -180,7 +186,8 @@ Result<ProofOutcome> RunProcedure(const Program& program,
       if (kase.has_value()) {
         DATALOG_ASSIGN_OR_RETURN(
             ProofOutcome outcome,
-            CheckCase(std::move(*kase), pn_program, tau, tgds, mode, budget));
+            CheckCase(std::move(*kase), pn_program, tau, tgds, mode, budget,
+                      &pn_cache));
         if (outcome == ProofOutcome::kDisproved) return outcome;
         if (outcome == ProofOutcome::kUnknown) any_unknown = true;
       }

@@ -2,13 +2,15 @@
 
 #include "ast/validate.h"
 #include "core/freeze.h"
+#include "eval/compiled_rule.h"
 #include "eval/seminaive.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace datalog {
 
-Result<bool> UniformlyContainsRule(const Program& p, const Rule& r) {
+Result<bool> UniformlyContainsRule(const Program& p, const Rule& r,
+                                   CompiledRuleCache* cache) {
   DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(p));
   DATALOG_RETURN_IF_ERROR(ValidateRule(r, *p.symbols()));
   if (!r.IsPositive()) {
@@ -21,9 +23,9 @@ Result<bool> UniformlyContainsRule(const Program& p, const Rule& r) {
   if (metrics.enabled()) metrics.Add("containment.checks", {}, 1);
   DATALOG_ASSIGN_OR_RETURN(FrozenRule frozen, FreezeRule(r, p.symbols()));
   // Compute P(b theta). The fixpoint is finite: rule application introduces
-  // no constants beyond those of b theta and of P's rules.
-  DATALOG_ASSIGN_OR_RETURN(EvalStats stats,
-                           EvaluateSemiNaive(p, &frozen.body));
+  // no constants beyond those of b theta and of P's rules. `p` was
+  // validated above, so the fixpoint runs without a second check.
+  const EvalStats stats = EvaluateValidatedSemiNaive(p, &frozen.body, cache);
   bool contained = frozen.body.Contains(frozen.head_pred, frozen.head_tuple);
   if (span.active()) {
     span.Note("iterations", static_cast<std::uint64_t>(stats.iterations));
@@ -50,7 +52,7 @@ RefuteUniformContainment(const Program& p, const Rule& r) {
   DATALOG_ASSIGN_OR_RETURN(FrozenRule frozen, FreezeRule(r, p.symbols()));
   Database input(p.symbols());
   input.UnionWith(frozen.body);
-  DATALOG_RETURN_IF_ERROR(EvaluateSemiNaive(p, &frozen.body).status());
+  EvaluateValidatedSemiNaive(p, &frozen.body);
   if (frozen.body.Contains(frozen.head_pred, frozen.head_tuple)) {
     return std::optional<UniformContainmentWitness>();  // containment holds
   }
@@ -58,9 +60,14 @@ RefuteUniformContainment(const Program& p, const Rule& r) {
       std::move(input), frozen.head_pred, frozen.head_tuple});
 }
 
-Result<bool> UniformlyContains(const Program& p1, const Program& p2) {
+Result<bool> UniformlyContains(const Program& p1, const Program& p2,
+                               CompiledRuleCache* cache) {
+  // Every test evaluates p1: plan its rules once for all of them.
+  CompiledRuleCache call_cache;
+  if (cache == nullptr) cache = &call_cache;
   for (const Rule& rule : p2.rules()) {
-    DATALOG_ASSIGN_OR_RETURN(bool contained, UniformlyContainsRule(p1, rule));
+    DATALOG_ASSIGN_OR_RETURN(bool contained,
+                             UniformlyContainsRule(p1, rule, cache));
     if (!contained) return false;
   }
   return true;

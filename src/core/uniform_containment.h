@@ -10,6 +10,8 @@
 
 namespace datalog {
 
+class CompiledRuleCache;  // eval/compiled_rule.h
+
 /// Tests whether the single-rule program `r` is uniformly contained in `p`
 /// (r subseteq^u p, Section VI / Corollary 2): the variables of `r` are
 /// frozen to distinct constants, `p` is computed bottom-up over the frozen
@@ -18,12 +20,20 @@ namespace datalog {
 ///
 /// Both programs must be positive and safe; the rule's head predicate need
 /// not be intentional in `p` (Section IV allows mixed vocabularies).
-Result<bool> UniformlyContainsRule(const Program& p, const Rule& r);
+///
+/// A non-null `cache` supplies the join plans of `p`'s rules (see
+/// RunSemiNaiveFixpoint): callers running many tests against mostly the
+/// same program, like the minimizer, plan each rule once per run instead
+/// of once per test. The verdict never depends on it.
+Result<bool> UniformlyContainsRule(const Program& p, const Rule& r,
+                                   CompiledRuleCache* cache = nullptr);
 
 /// Tests p2 subseteq^u p1: every rule of p2 must be uniformly contained in
 /// p1 (Section VI: M(P1) subseteq M(P2) iff M(P1) subseteq M(r) for every
-/// rule r of P2).
-Result<bool> UniformlyContains(const Program& p1, const Program& p2);
+/// rule r of P2). Every test evaluates p1, so one plan cache -- `cache`, or
+/// a call-local one -- serves them all.
+Result<bool> UniformlyContains(const Program& p1, const Program& p2,
+                               CompiledRuleCache* cache = nullptr);
 
 /// Tests p1 ==^u p2 (uniform equivalence, Section IV).
 Result<bool> UniformlyEquivalent(const Program& p1, const Program& p2);

@@ -894,18 +894,42 @@ std::size_t CompiledRule::Apply(const Database& full, const DeltaRanges* delta,
   return EmitDerived(derived, head_predicate_, out, stats);
 }
 
-const CompiledRule& CompiledRuleCache::Get(std::size_t rule_index,
-                                           const Rule& rule,
+const CompiledRule& CompiledRuleCache::Get(const Rule& rule,
                                            std::size_t delta_pos,
                                            bool use_old, const Database& full,
-                                           const DeltaRanges* delta) {
-  CompiledRule& plan = plans_[std::make_tuple(rule_index, delta_pos, use_old)];
+                                           const DeltaRanges* delta,
+                                           MatchStats* stats) {
+  auto it = rules_.find(rule);
+  if (it == rules_.end()) it = rules_.emplace(rule, RulePlans{}).first;
+  it->second.last_used = fixpoint_;
+  CompiledRule& plan = it->second.variants[{delta_pos, use_old}];
   if (!plan.compiled()) {
     plan = CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
   } else if (plan.NeedsReplan(full, delta)) {
     plan.Replan(full, delta);
+  } else {
+    return plan;
   }
+  ++plans_compiled_;
+  if (stats != nullptr) ++stats->plans_compiled;
   return plan;
+}
+
+void CompiledRuleCache::BeginFixpoint(const std::vector<Rule>& rules) {
+  ++fixpoint_;
+  for (const Rule& rule : rules) {
+    auto it = rules_.find(rule);
+    if (it != rules_.end()) it->second.last_used = fixpoint_;
+  }
+  std::erase_if(rules_, [this](const auto& entry) {
+    return entry.second.last_used + 1 < fixpoint_;
+  });
+}
+
+std::size_t CompiledRuleCache::size() const {
+  std::size_t plans = 0;
+  for (const auto& [rule, entry] : rules_) plans += entry.variants.size();
+  return plans;
 }
 
 }  // namespace datalog

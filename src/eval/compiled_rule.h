@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -456,26 +455,62 @@ class CompiledRule {
   std::vector<std::vector<CompiledTerm>> negated_terms_;
 };
 
-/// Owns one CompiledRule per (rule index, delta position, use_old)
-/// variant, compiled on first use and revalidated on every Get: a
-/// changed ablation knob recompiles, a >= 4x cardinality drift replans.
+/// Owns one CompiledRule per (rule, delta position, use_old) variant,
+/// compiled on first use and revalidated on every Get: a changed ablation
+/// knob recompiles, a >= 4x cardinality drift replans.
+///
+/// Plans are keyed by rule CONTENT (Rule::operator==, Rule::Hash), not by
+/// where the caller keeps the rule. A plan holds no database state, so it
+/// outlives the fixpoint that compiled it, and a rule that lost an atom is
+/// a different key that can never be served its predecessor's plan.
 /// Engines keep one cache per fixpoint so join orders persist across
-/// rounds instead of being recomputed per rule application.
+/// rounds; the optimizer loops (Fig. 2 minimization and the Section XI
+/// optimizer) keep one per run, so a rule that a uniform-containment test
+/// leaves unchanged is planned once for the run instead of once per test
+/// (see "Plan lifetime" in docs/join_compilation.md).
+///
+/// A long-lived cache stays bounded through BeginFixpoint, which a
+/// fixpoint driver calls with the rules it is about to evaluate: the plans
+/// of every rule that neither this fixpoint nor the previous one
+/// evaluates are evicted. The cache therefore holds the plans of the last
+/// two programs evaluated -- in the optimizer loops, the current
+/// program's plus one candidate's.
 ///
 /// Not thread-safe: call Get only from single-threaded phases (the
 /// parallel evaluator resolves all plans during snapshot preparation and
-/// hands workers const pointers). Returned references stay valid for the
-/// cache's lifetime; Get never invalidates other entries.
+/// hands workers const pointers). Returned references stay valid until
+/// the next BeginFixpoint; Get never invalidates other entries.
 class CompiledRuleCache {
  public:
-  const CompiledRule& Get(std::size_t rule_index, const Rule& rule,
-                          std::size_t delta_pos, bool use_old,
-                          const Database& full, const DeltaRanges* delta);
+  /// The plan for the delta-pass variant of `rule` (see
+  /// BuildDeltaPassAtoms), compiled or replanned against `full`/`delta`
+  /// when needed. Each compile or replan bumps plans_compiled() and, when
+  /// `stats` is non-null, `stats->plans_compiled`.
+  const CompiledRule& Get(const Rule& rule, std::size_t delta_pos,
+                          bool use_old, const Database& full,
+                          const DeltaRanges* delta,
+                          MatchStats* stats = nullptr);
 
-  std::size_t size() const { return plans_.size(); }
+  /// Starts a fixpoint that evaluates `rules`, evicting the plans of every
+  /// rule neither it nor the previous fixpoint evaluates.
+  void BeginFixpoint(const std::vector<Rule>& rules);
+
+  /// Plans currently held (variants, over all rules).
+  std::size_t size() const;
+
+  /// Compiles plus replans over the cache's lifetime.
+  std::uint64_t plans_compiled() const { return plans_compiled_; }
 
  private:
-  std::map<std::tuple<std::size_t, std::size_t, bool>, CompiledRule> plans_;
+  struct RulePlans {
+    std::uint64_t last_used = 0;  // the last fixpoint evaluating the rule
+    // By (delta position, use_old); node-based, so Get never moves a plan.
+    std::map<std::pair<std::size_t, bool>, CompiledRule> variants;
+  };
+
+  std::unordered_map<Rule, RulePlans, RuleHash> rules_;
+  std::uint64_t fixpoint_ = 0;  // fixpoints begun
+  std::uint64_t plans_compiled_ = 0;
 };
 
 }  // namespace datalog

@@ -27,7 +27,7 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
       ++stats.per_rule[ri].applications;
       TraceSpan apply_span("naive/apply");
       MatchStats local;
-      std::size_t added = ApplyRule(rule, *db, db, &local, &cache, ri);
+      std::size_t added = ApplyRule(rule, *db, db, &local, &cache);
       stats.match.Add(local);
       stats.facts_derived += added;
       stats.per_rule[ri].facts += added;
@@ -48,13 +48,14 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db) {
 }
 
 Result<std::size_t> ApplyOnce(const Program& program, const Database& db,
-                              Database* out, EvalStats* stats) {
+                              Database* out, EvalStats* stats,
+                              CompiledRuleCache* cache) {
   DATALOG_RETURN_IF_ERROR(ValidateProgram(program));
   std::size_t added = 0;
   for (const Rule& rule : program.rules()) {
     if (stats != nullptr) ++stats->rule_applications;
     added += ApplyRule(rule, db, out,
-                       stats != nullptr ? &stats->match : nullptr);
+                       stats != nullptr ? &stats->match : nullptr, cache);
   }
   if (stats != nullptr) stats->facts_derived += added;
   return added;

@@ -21,9 +21,11 @@ Result<EvalStats> EvaluateNaive(const Program& program, Database* db);
 /// Applies every rule of `program` exactly once, non-recursively, against
 /// a snapshot of `db` (the operator P^n of Section IX). New facts are
 /// added to `out` (not to `db`). Returns the number of facts that were new
-/// in `out`.
+/// in `out`. A non-null `cache` serves the rules' plans, so a caller
+/// applying one program to many databases plans each rule once.
 Result<std::size_t> ApplyOnce(const Program& program, const Database& db,
-                              Database* out, EvalStats* stats);
+                              Database* out, EvalStats* stats,
+                              CompiledRuleCache* cache = nullptr);
 
 }  // namespace datalog
 

@@ -187,8 +187,8 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     if (CompiledRulePlansEnabled()) {
       for (PassTask& task : tasks) {
         const CompiledRule& plan =
-            cache.Get(task.rule_index, rules[task.rule_index], task.delta_pos,
-                      /*use_old=*/true, *db, &delta);
+            cache.Get(rules[task.rule_index], task.delta_pos,
+                      /*use_old=*/true, *db, &delta, &stats.match);
         task.plan = &plan;
         // Index builds happen here, single-threaded (a no-op for every
         // shard after a predicate's first): after this, Execute is

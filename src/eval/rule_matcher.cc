@@ -274,13 +274,12 @@ void DeriveImpl(const Rule& rule, const Database& full,
                 const DeltaRanges* delta,
                 std::size_t delta_pos,  // or npos
                 DerivedRows* out, MatchStats* stats,
-                const OldLimits* old_limits, CompiledRuleCache* cache,
-                std::size_t rule_index) {
+                const OldLimits* old_limits, CompiledRuleCache* cache) {
   const bool use_old = old_limits != nullptr;
   if (CompiledRulePlansEnabled()) {
     if (cache != nullptr) {
       const CompiledRule& plan =
-          cache->Get(rule_index, rule, delta_pos, use_old, full, delta);
+          cache->Get(rule, delta_pos, use_old, full, delta, stats);
       plan.Derive(full, delta, old_limits, out, stats);
       return;
     }
@@ -310,13 +309,12 @@ std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
                           std::size_t delta_pos,  // or npos
                           Database* out, MatchStats* stats,
                           const OldLimits* old_limits,
-                          CompiledRuleCache* cache, std::size_t rule_index) {
+                          CompiledRuleCache* cache) {
   // Derived rows are buffered and inserted only after the enumeration
   // finishes: `out` may alias `full`, and inserting while the matcher is
   // iterating rows/indexes of the same relation would invalidate them.
   DerivedRows derived;
-  DeriveImpl(rule, full, delta, delta_pos, &derived, stats, old_limits, cache,
-             rule_index);
+  DeriveImpl(rule, full, delta, delta_pos, &derived, stats, old_limits, cache);
   return EmitDerived(derived, rule.head().predicate(), out, stats);
 }
 
@@ -453,21 +451,19 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding) {
 }
 
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
-                      MatchStats* stats, CompiledRuleCache* cache,
-                      std::size_t rule_index) {
+                      MatchStats* stats, CompiledRuleCache* cache) {
   return ApplyRuleImpl(rule, full, /*delta=*/nullptr,
                        /*delta_pos=*/std::numeric_limits<std::size_t>::max(),
-                       out, stats, /*old_limits=*/nullptr, cache, rule_index);
+                       out, stats, /*old_limits=*/nullptr, cache);
 }
 
 std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                const DeltaRanges& delta, std::size_t delta_pos,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits,
-                               CompiledRuleCache* cache,
-                               std::size_t rule_index) {
+                               CompiledRuleCache* cache) {
   return ApplyRuleImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
-                       cache, rule_index);
+                       cache);
 }
 
 void DeriveRuleWithDelta(const Rule& rule, const Database& full,
@@ -475,7 +471,7 @@ void DeriveRuleWithDelta(const Rule& rule, const Database& full,
                          DerivedRows* out, MatchStats* stats,
                          const OldLimits* old_limits) {
   DeriveImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
-             /*cache=*/nullptr, /*rule_index=*/0);
+             /*cache=*/nullptr);
 }
 
 }  // namespace datalog

@@ -21,12 +21,16 @@ struct MatchStats {
   // Head rows probed against the output's dedup table: one per emitted
   // row (a substitution that survived negation), duplicates included.
   std::uint64_t dedup_probes = 0;
+  // Join plans a CompiledRuleCache compiled or replanned for the work
+  // counted here (plans compiled outside a cache are not counted).
+  std::uint64_t plans_compiled = 0;
 
   void Add(const MatchStats& other) {
     substitutions += other.substitutions;
     index_lookups += other.index_lookups;
     tuples_scanned += other.tuples_scanned;
     dedup_probes += other.dedup_probes;
+    plans_compiled += other.plans_compiled;
   }
 };
 
@@ -242,14 +246,12 @@ Tuple InstantiateHead(const Atom& atom, const Binding& binding);
 /// were new in `out`. `out` may alias `full`'s storage only if the caller
 /// accepts immediate visibility of new facts (naive evaluation does).
 ///
-/// With a non-null `cache`, the compiled plan for (`rule_index`,
-/// delta position, use_old) is fetched from it -- compiled on first use,
+/// With a non-null `cache`, the compiled plan for (`rule`, delta
+/// position, use_old) is fetched from it -- compiled on first use,
 /// replanned only when a participating relation's cardinality drifts --
-/// instead of being rebuilt per call. `rule_index` must identify `rule`
-/// stably for the cache's lifetime. A null cache compiles transiently.
+/// instead of being rebuilt per call. A null cache compiles transiently.
 std::size_t ApplyRule(const Rule& rule, const Database& full, Database* out,
-                      MatchStats* stats, CompiledRuleCache* cache = nullptr,
-                      std::size_t rule_index = 0);
+                      MatchStats* stats, CompiledRuleCache* cache = nullptr);
 
 /// Semi-naive variant: like ApplyRule but the body atom at position
 /// `delta_pos` (an index into rule.body(), which must be positive there)
@@ -263,8 +265,7 @@ std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                const DeltaRanges& delta, std::size_t delta_pos,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits = nullptr,
-                               CompiledRuleCache* cache = nullptr,
-                               std::size_t rule_index = 0);
+                               CompiledRuleCache* cache = nullptr);
 
 /// Like ApplyRuleWithDelta without a cache, but appends the derived head
 /// rows to `out` instead of inserting them (the parallel engine's

@@ -50,7 +50,15 @@ void ReserveHeadGrowth(const std::vector<Rule>& rules,
   }
 }
 
-EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
+EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db,
+                               CompiledRuleCache* cache) {
+  // One compiled plan per (rule, delta position), reused across rounds;
+  // join orders are replanned only on >= 4x cardinality drift. A caller's
+  // cache carries the plans on to later fixpoints as well.
+  CompiledRuleCache own_cache;
+  if (cache == nullptr) cache = &own_cache;
+  cache->BeginFixpoint(rules);
+
   EvalStats stats;
   stats.per_rule.resize(rules.size());
 
@@ -73,10 +81,6 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
   // The snapshot the current delta starts at: rows below these limits
   // are "old". Round 0 has no old rows (everything is new).
   OldLimits old_limits;
-
-  // One compiled plan per (rule, delta position), reused across rounds;
-  // join orders are replanned only on >= 4x cardinality drift.
-  CompiledRuleCache cache;
 
   while (!delta.empty()) {
     ++stats.iterations;
@@ -103,7 +107,7 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
         TraceSpan apply_span("seminaive/apply");
         MatchStats local;
         std::size_t added = ApplyRuleWithDelta(rule, *db, delta, p, db,
-                                               &local, &old_limits, &cache, ri);
+                                               &local, &old_limits, cache);
         stats.match.Add(local);
         stats.facts_derived += added;
         stats.per_rule[ri].facts += added;
@@ -127,8 +131,13 @@ EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db) {
 
 Result<EvalStats> EvaluateSemiNaive(const Program& program, Database* db) {
   DATALOG_RETURN_IF_ERROR(ValidatePositiveProgram(program));
+  return EvaluateValidatedSemiNaive(program, db);
+}
+
+EvalStats EvaluateValidatedSemiNaive(const Program& program, Database* db,
+                                     CompiledRuleCache* cache) {
   TraceSpan span("eval/semi-naive");
-  EvalStats stats = RunSemiNaiveFixpoint(program.rules(), db);
+  EvalStats stats = RunSemiNaiveFixpoint(program.rules(), db, cache);
   span.Note("iterations", static_cast<std::uint64_t>(stats.iterations));
   span.Note("facts", stats.facts_derived);
   RecordEvalStats("semi-naive", stats);

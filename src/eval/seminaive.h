@@ -48,11 +48,25 @@ void ReserveHeadGrowth(const std::vector<Rule>& rules,
 /// programs with negation.
 Result<EvalStats> EvaluateSemiNaive(const Program& program, Database* db);
 
+/// EvaluateSemiNaive for a program the caller has already validated
+/// (ValidatePositiveProgram): the same fixpoint, trace span and stats
+/// export, without checking the program again. `cache` as for
+/// RunSemiNaiveFixpoint.
+EvalStats EvaluateValidatedSemiNaive(const Program& program, Database* db,
+                                     CompiledRuleCache* cache = nullptr);
+
 /// Runs the semi-naive fixpoint over an explicit rule list without
 /// validation. Negated literals are tested against the current database,
 /// so the caller must guarantee that the negated predicates are already
 /// fully computed (EvaluateStratified runs this stratum by stratum).
-EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db);
+///
+/// Join plans come from `cache` when it is non-null (the fixpoint starts
+/// with cache->BeginFixpoint(rules)), so a caller running many fixpoints
+/// over mostly the same rules -- the optimizer's containment tests --
+/// plans each rule once; with a null cache the plans live for this
+/// fixpoint only.
+EvalStats RunSemiNaiveFixpoint(const std::vector<Rule>& rules, Database* db,
+                               CompiledRuleCache* cache = nullptr);
 
 /// Like EvaluateSemiNaive, but evaluates the program one dependence-graph
 /// SCC at a time in topological order: rules whose heads lie in earlier

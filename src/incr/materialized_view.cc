@@ -508,8 +508,7 @@ void MaterializedView::UpdateDRed(const SccPlan& plan,
         delta_used = true;
         MatchStats local;
         std::size_t added = ApplyRuleWithDelta(rule, db_, delta, q, &db_,
-                                               &local, nullptr, &insert_cache,
-                                               ri);
+                                               &local, nullptr, &insert_cache);
         stats->recompute.match.Add(local);
         stats->recompute.facts_derived += added;
       }

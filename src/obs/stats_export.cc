@@ -19,6 +19,7 @@ void RecordEvalStats(std::string_view engine, const EvalStats& stats) {
   registry.Add("eval.index_lookups", labels, stats.match.index_lookups);
   registry.Add("eval.tuples_scanned", labels, stats.match.tuples_scanned);
   registry.Add("eval.dedup_probes", labels, stats.match.dedup_probes);
+  registry.Add("eval.plans_compiled", labels, stats.match.plans_compiled);
   if (stats.parallel_rounds != 0 || stats.parallel_tasks != 0) {
     registry.Add("eval.parallel_rounds", labels, stats.parallel_rounds);
     registry.Add("eval.parallel_tasks", labels, stats.parallel_tasks);

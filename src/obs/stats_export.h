@@ -20,6 +20,7 @@ struct CommitStats;  // incr/materialized_view.h
 ///   eval.index_lookups{engine=E}      == stats.match.index_lookups
 ///   eval.tuples_scanned{engine=E}     == stats.match.tuples_scanned
 ///   eval.dedup_probes{engine=E}       == stats.match.dedup_probes
+///   eval.plans_compiled{engine=E}     == stats.match.plans_compiled
 ///   eval.parallel_rounds/parallel_tasks{engine=E}   (parallel engines)
 ///   eval.index_build_ns/parallel_match_ns/merge_ns  (wall-clock, NOT
 ///                                                    deterministic)

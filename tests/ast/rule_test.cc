@@ -17,6 +17,16 @@ TEST(RuleTest, FactHasEmptyBody) {
   EXPECT_TRUE(fact.IsSafe());
 }
 
+TEST(RuleTest, HashAgreesWithEquality) {
+  auto symbols = MakeSymbols();
+  Rule a = ParseRuleOrDie(symbols, "g(x, z) :- a(x, y), b(y, z).");
+  Rule b = ParseRuleOrDie(symbols, "g(x, z) :-\n  a(x, y), b(y, z).");
+  EXPECT_EQ(a, b);  // spans differ; content does not
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(RuleHash{}(a), a.Hash());
+  EXPECT_NE(a, a.WithoutBodyLiteral(1));
+}
+
 TEST(RuleTest, SafetyRequiresHeadVarsInBody) {
   auto symbols = MakeSymbols();
   Rule safe = ParseRuleOrDie(symbols, "g(x, z) :- a(x, z).");

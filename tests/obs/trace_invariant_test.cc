@@ -211,6 +211,9 @@ TEST_F(TraceInvariantTest, MetricsEqualEvalStatsBitForBit) {
         << engine.name;
     EXPECT_EQ(m.Value("eval.dedup_probes", labels), stats->match.dedup_probes)
         << engine.name;
+    EXPECT_EQ(m.Value("eval.plans_compiled", labels),
+              stats->match.plans_compiled)
+        << engine.name;
     EXPECT_EQ(m.Value("eval.parallel_rounds", labels),
               stats->parallel_rounds)
         << engine.name;

@@ -11,9 +11,9 @@
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
 # regression gate (eval.tuples_scanned / eval.index_lookups /
-# eval.dedup_probes on a fixed corpus must stay at or below
-# tools/work_counters.baseline, and dedup_probes must equal the emitted
-# rows -- one dedup probe per derived fact), and runs
+# eval.dedup_probes / eval.plans_compiled on a fixed corpus must stay at
+# or below tools/work_counters.baseline, and dedup_probes must equal the
+# emitted rows -- one dedup probe per derived fact), and runs
 # the datalog lint gate (tools/lint.sh: `datalog-opt check` over every
 # checked-in .dl program must report no error diagnostics).
 #
@@ -71,14 +71,15 @@ validate_obs_json() {
 
 # Deterministic work-counter regression gate. Join-order plans are
 # resolved once per (rule, delta position) against whole-round sizes, so
-# eval.tuples_scanned / eval.index_lookups / eval.dedup_probes are exactly
-# reproducible on a fixed corpus; any increase over the checked-in
-# baseline (tools/work_counters.baseline) is a planner, matcher or write-
-# path regression, not noise. Every emitted row costs exactly one dedup
-# probe, and on these negation-free cases every substitution is emitted,
-# so the gate also fails unless dedup_probes equals eval.substitutions.
-# Regenerate the baseline by pasting this gate's "measured" output after
-# a deliberate change.
+# eval.tuples_scanned / eval.index_lookups / eval.dedup_probes /
+# eval.plans_compiled are exactly reproducible on a fixed corpus; any
+# increase over the checked-in baseline (tools/work_counters.baseline) is
+# a planner, matcher, write-path or plan-cache regression, not noise.
+# Every emitted row costs exactly one dedup probe, and on these
+# negation-free cases every substitution is emitted, so the gate also
+# fails unless dedup_probes equals eval.substitutions. Regenerate the
+# baseline by pasting this gate's "measured" output after a deliberate
+# change.
 run_work_counter_gate() {
   local build_dir="$1"
   if ! command -v python3 >/dev/null 2>&1; then
@@ -130,31 +131,63 @@ run_work_counter_gate() {
       >> "${tmp}/tri_facts.dl"
   done
 
+  # min: Fig. 2 minimization (`datalog-opt minimize`) of a fixed
+  # planted-redundancy program -- MakePlantedProgram with 2 extensional
+  # and 2 intentional predicates, 3 chain rules of 3 atoms, 3 planted
+  # atoms, 2 planted rules, seed 3. Its counters sum over all 22
+  # containment-test fixpoints, which share one plan cache, so
+  # plans_compiled pins the cache's reuse across tests.
+  cat > "${tmp}/min.dl" <<'DLEOF'
+i0(v0, v1) :- e1(v0, v1).
+i0(v0, v3) :- i0(v0, v1), i0(v1, v2), i0(v2, v3).
+i0(v0, v3) :- e1(v0, v1), i0(v1, v2), e1(v2, v3).
+i0(v0, v3) :- e0(v0, v1), i0(v1, v2), e1(v2, v3), i0(v1, w_1).
+i1(v0, v1) :- e0(v0, v1).
+i1(v0, v3) :- i0(v0, v1), i0(v1, v2), e0(v2, v3), i0(v1, w_0).
+i1(v0, v3) :- i0(v0, v1), e1(v1, v2), i1(v2, v3).
+i1(v0, v3) :- i0(v0, v1), e1(v1, v2), e0(v2, v3), e1(v1, w).
+i1(v0_2, v1_3) :- e0(v0_2, v1_3).
+i1(v0_4, v3_5) :- i0(v0_4, v1_6), e1(v1_6, v2_7), e0(v2_7, v3_5),
+                  e1(v1_6, w_8), e1(v1_6, w_8).
+DLEOF
+
   # Each case runs twice: once on the default bytecode VM and once with
   # --no-bytecode (the struct interpreter), as `<case>` and
   # `<case>_struct` rows. The two executors promise identical counters,
   # so the paired rows also pin that parity in CI.
   local case_name row_name flag
+  local -a run
   : > "${tmp}/measured.txt"
-  for case_name in tc sg sel tri; do
+  for case_name in tc sg sel tri min; do
+    if [ "${case_name}" = "min" ]; then
+      run=(minimize "${tmp}/min.dl")
+    else
+      run=(eval "${tmp}/${case_name}.dl" "${tmp}/${case_name}_facts.dl")
+    fi
     for flag in "" "--no-bytecode"; do
       row_name="${case_name}${flag:+_struct}"
+      # minimize narrates its deletions on stderr; show it only on failure.
       # shellcheck disable=SC2086
-      "${build_dir}/tools/datalog-opt" eval ${flag} "${tmp}/${case_name}.dl" \
-        "${tmp}/${case_name}_facts.dl" \
-        --metrics="${tmp}/${row_name}_m.json" > /dev/null
+      if ! "${build_dir}/tools/datalog-opt" "${run[0]}" ${flag} \
+          "${run[@]:1}" --metrics="${tmp}/${row_name}_m.json" \
+          > /dev/null 2> "${tmp}/stderr"; then
+        cat "${tmp}/stderr" >&2
+        return 1
+      fi
       python3 - "${row_name}" "${tmp}/${row_name}_m.json" \
         >> "${tmp}/measured.txt" <<'PYEOF'
 import json, sys
 name, path = sys.argv[1], sys.argv[2]
 counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0,
-            "eval.dedup_probes": 0, "eval.substitutions": 0}
+            "eval.dedup_probes": 0, "eval.plans_compiled": 0,
+            "eval.substitutions": 0}
 with open(path) as f:
     for m in json.load(f)["metrics"]:
         if m["name"] in counters:
             counters[m["name"]] += m["value"]
 print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"],
-      counters["eval.dedup_probes"], counters["eval.substitutions"])
+      counters["eval.dedup_probes"], counters["eval.plans_compiled"],
+      counters["eval.substitutions"])
 PYEOF
     done
   done
@@ -174,15 +207,16 @@ def load(path):
 baseline = load(sys.argv[1])
 measured = load(sys.argv[2])
 failed = False
-for name, (scanned, lookups, dedup, substitutions) in sorted(
+for name, (scanned, lookups, dedup, plans, substitutions) in sorted(
         measured.items()):
     if name not in baseline:
         print(f"work-counter gate: no baseline for case '{name}'")
         failed = True
         continue
-    base_scanned, base_lookups, base_dedup = baseline[name][:3]
+    base_scanned, base_lookups, base_dedup, base_plans = baseline[name][:4]
     tag = "OK"
-    if scanned > base_scanned or lookups > base_lookups or dedup > base_dedup:
+    if (scanned > base_scanned or lookups > base_lookups or
+            dedup > base_dedup or plans > base_plans):
         tag = "REGRESSION"
         failed = True
     if dedup != substitutions:
@@ -191,7 +225,8 @@ for name, (scanned, lookups, dedup, substitutions) in sorted(
     print(f"  {name}: tuples_scanned {scanned} (baseline {base_scanned}), "
           f"index_lookups {lookups} (baseline {base_lookups}), "
           f"dedup_probes {dedup} (baseline {base_dedup}, emitted rows "
-          f"{substitutions}) {tag}")
+          f"{substitutions}), plans_compiled {plans} (baseline "
+          f"{base_plans}) {tag}")
 sys.exit(1 if failed else 0)
 PYEOF
   rm -rf "${tmp}"
