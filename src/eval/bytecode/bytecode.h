@@ -3,10 +3,9 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "ast/value.h"
 #include "eval/rule_matcher.h"
 
 namespace datalog {
@@ -16,18 +15,17 @@ class CompiledRule;
 namespace bytecode {
 
 /// The register-based instruction set compiled join plans lower to (see
-/// docs/bytecode_vm.md). Operands address the same flat u32 frame slots
-/// the struct executors use, so a bytecode run is bit-for-bit
-/// interchangeable with ApplyBatch/ApplyMultiway: same MatchStats bumps,
-/// same frontier emission order, same derived facts.
+/// docs/bytecode_vm.md). Operands address flat u32 frame slots holding
+/// dictionary ids, so a run never touches a Value. A left-deep program
+/// bumps MatchStats exactly as CompiledRule::Execute does on the same
+/// schedule.
 ///
 /// Generic opcodes pair an *open* (resolve the depth's candidate set,
 /// bump index_lookups) with a *next* (advance one candidate row, bump
 /// tuples_scanned); FILTER/LOAD ops act on the current row. The fused
 /// `...EmitAll` superinstructions run the innermost loop -- candidate
 /// iteration, filters, slot writes, negation and head emission -- without
-/// per-row dispatch; they are what buys the VM its wall-clock edge over
-/// the struct interpreter.
+/// per-row dispatch.
 enum class Op : std::uint8_t {
   kHalt = 0,
   // LOAD_KEY: keys[a][b] = slots[c]. Patches a bound-variable position
@@ -46,7 +44,7 @@ enum class Op : std::uint8_t {
   // ++tuples_scanned. The list holds only the postings inside step a's
   // row range (old prefix, delta range, or the whole relation).
   kProbeNext,
-  // FILTER_CONST: column b of step a's current row != pool constant c ->
+  // FILTER_CONST: column b of step a's current row != dictionary id c ->
   // jump t (continue the enclosing loop).
   kFilterConst,
   // FILTER_KEY: column b of step a's current row != keys[a][c] -> jump t.
@@ -60,10 +58,6 @@ enum class Op : std::uint8_t {
   // ++tuples_scanned; the row holding keys[a] (found through the dedup
   // table) absent or outside step a's row range -> jump t.
   kMember,
-  // Retired: executes exactly as kMember (the row-range check covers the
-  // old snapshot too). Kept so format-v1 encodings still decode; Lower
-  // no longer emits it.
-  kMemberOld,
   // EMIT: ++substitutions; negated literals absent -> buffer the head
   // row ids; always jump t (the innermost loop's next op, or HALT).
   kEmit,
@@ -99,35 +93,29 @@ struct Insn {
   std::uint32_t t = 0;
 };
 
-/// Pool-reference sentinel for key-template positions patched per probe
-/// by kLoadKey (mirrors ValueDictionary::kInvalidId in the resolved
-/// arrays).
-inline constexpr std::uint32_t kPatched = 0xFFFFFFFFu;
-
-/// One body atom of the lowered plan: the serializable subset of
-/// CompiledAtomStep plus the resolved id arrays the VM reads. Constant
-/// key positions reference the program's constant pool so a decoded
-/// program re-interns them into the decoding process's dictionary.
+/// One body atom of the lowered plan: the subset of CompiledAtomStep the
+/// VM reads, with constants as dictionary ids.
 struct StepDesc {
   std::uint32_t predicate = 0;
   std::uint32_t arity = 0;
   std::uint8_t source = 0;         // AtomSource
   std::vector<int> key_cols;       // strictly increasing bound columns
-  std::vector<std::uint32_t> key_template;  // pool refs; kPatched holes
+  // Constants interned; positions patched per probe by kLoadKey hold
+  // ValueDictionary::kInvalidId.
+  std::vector<std::uint32_t> key_template_ids;
   // Repeated-variable checks as row-local column pairs, and free-
   // variable writes as (column, slot) pairs -- same layout as
   // CompiledAtomStep::id_checks / writes.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> id_checks;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> writes;
-  // Resolved from key_template by ResolveConstants (not serialized).
-  std::vector<std::uint32_t> key_template_ids;
 };
 
-/// A head or negated-literal argument: pool constant or frame slot.
+/// A head or negated-literal argument: a constant's dictionary id, or a
+/// frame slot.
 struct TermDesc {
   bool is_constant = false;
-  std::uint32_t index = 0;  // pool index (constant) or slot
-  std::uint32_t id = 0;     // resolved constant id (not serialized)
+  std::uint32_t slot = 0;  // variables
+  std::uint32_t id = 0;    // constants
 };
 
 struct NegDesc {
@@ -135,22 +123,18 @@ struct NegDesc {
   std::vector<TermDesc> terms;
 };
 
-/// Serializable mirror of MultiwayProbe (see eval/compiled_rule.h), with
-/// constants as pool references.
+/// Mirror of MultiwayProbe (see eval/compiled_rule.h).
 struct ProbeDesc {
   std::uint32_t atom = 0;  // index into Program::steps
   std::vector<int> var_cols;
   std::vector<int> bound_cols;  // strictly increasing
-  std::vector<std::uint32_t> key_template;  // pool refs; kPatched holes
+  std::vector<std::uint32_t> key_template_ids;  // kInvalidId holes
   std::vector<std::pair<std::uint32_t, std::uint32_t>> key_fill;
   bool unconditional = false;
   std::vector<int> union_cols;  // strictly increasing
-  std::vector<std::uint32_t> union_template;  // pool refs; kPatched holes
+  std::vector<std::uint32_t> union_template_ids;  // kInvalidId holes
   std::vector<std::pair<std::uint32_t, std::uint32_t>> union_key_fill;
   std::vector<std::uint32_t> union_var_positions;
-  // Resolved by ResolveConstants (not serialized).
-  std::vector<std::uint32_t> key_template_ids;
-  std::vector<std::uint32_t> union_template_ids;
 };
 
 struct MwStepDesc {
@@ -158,73 +142,37 @@ struct MwStepDesc {
   std::vector<ProbeDesc> probes;
 };
 
-inline constexpr std::uint32_t kBytecodeMagic = 0x43424c44u;  // "DLBC"
-inline constexpr std::uint32_t kBytecodeVersion = 1;
-
-/// A lowered join plan: self-contained (constant pool, step and probe
-/// descriptor tables, code) so it can be serialized, shipped, validated
-/// and executed without the CompiledRule it came from. Symbol-kind
-/// constants reference SymbolTable ids, so cross-process transport
-/// additionally requires the processes to share a symbol table (the
-/// server's workers do; see docs/bytecode_vm.md).
+/// A lowered join plan: step and probe descriptor tables plus code,
+/// executable without the CompiledRule it came from. Constants are ids
+/// of the process-wide ValueDictionary, interned by Lower.
 struct Program {
-  std::uint32_t version = kBytecodeVersion;
   std::uint8_t shape = 0;  // 0 = left-deep, 1 = multiway
   bool use_index = true;   // knob snapshot at lowering time
   std::uint32_t num_slots = 0;
-  std::vector<Value> const_pool;
   std::vector<StepDesc> steps;
   std::uint32_t head_predicate = 0;
   std::vector<TermDesc> head;
   std::vector<NegDesc> negated;
   std::vector<MwStepDesc> mw_steps;
   std::vector<Insn> code;
-  // Pool constants interned into this process's dictionary; parallel to
-  // const_pool. Rebuilt by ResolveConstants, never serialized.
-  std::vector<std::uint32_t> const_ids;
 
   bool empty() const { return code.empty(); }
-
-  /// Interns the constant pool into the global ValueDictionary and
-  /// fills every resolved id array (const_ids, key_template_ids, term
-  /// ids). Must run after construction or Decode, before Run.
-  void ResolveConstants();
 };
 
 /// Lowers a compiled plan to bytecode. Returns an empty program when the
-/// plan does not qualify for id-space execution (not batch_ok, empty
-/// body, or compiled without a rule head).
+/// plan does not qualify for id-space execution (an unbound head or
+/// negated variable, an empty body, or compiled without a rule head).
 Program Lower(const CompiledRule& plan);
-
-/// Static safety check: operand bounds (pc targets, slots, columns,
-/// pool references), descriptor-table consistency (strictly increasing
-/// key columns, probe shapes), loop nesting via a row-validity dataflow
-/// over the control-flow graph. A program that validates executes
-/// without undefined behavior on any database; lowered programs always
-/// validate. Returns false and fills `error` (if non-null) on rejection.
-bool Validate(const Program& program, std::string* error = nullptr);
-
-/// Versioned binary serialization (format v1, little-endian; see
-/// docs/bytecode_vm.md). Decode checks structural well-formedness and
-/// re-interns the constant pool, but run Validate before executing a
-/// program from an untrusted source.
-std::vector<std::uint8_t> Encode(const Program& program);
-bool Decode(const std::uint8_t* data, std::size_t size, Program* out,
-            std::string* error = nullptr);
 
 /// Per-opcode dispatch tallies for the obs layer (bytecode.dispatch).
 using DispatchCounts = std::array<std::uint64_t, kNumOps>;
 
-/// Executes a validated program: enumerates body matches and appends the
-/// instantiated head rows to `out`, mirroring CompiledRule::Derive's
-/// batch/multiway executors bump for bump (EmitDerived inserts them).
-/// Returns false -- before bumping any counter or deriving anything --
-/// when the program cannot run against these databases (a live relation
-/// is not columnar, or a relation's arity contradicts the program), in
-/// which case the caller falls back to the struct interpreter. When
-/// `dispatch` is non-null every executed instruction is tallied per
-/// opcode.
-bool Run(const Program& program, const Database& full,
+/// Executes a lowered program: enumerates body matches and appends the
+/// instantiated head rows to `out`, duplicates included (EmitDerived
+/// inserts them). Every run ends by executing the program's final
+/// instruction, its one kHalt. When `dispatch` is non-null every executed
+/// instruction is tallied per opcode.
+void Run(const Program& program, const Database& full,
          const DeltaRanges* delta, const OldLimits* old_limits,
          DerivedRows* out, MatchStats* stats,
          DispatchCounts* dispatch = nullptr);

@@ -1,6 +1,4 @@
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "eval/bytecode/bytecode.h"
@@ -16,44 +14,17 @@ namespace {
 // leave the outermost loop carry it and get patched at the end.
 constexpr std::uint32_t kHaltSentinel = 0xFFFFFFFFu;
 
-// Interns plan constants into the program's pool, deduplicating by
-// (kind, payload) so a constant reused across steps, head, and negation
-// serializes once.
-class PoolBuilder {
- public:
-  explicit PoolBuilder(Program* program) : program_(program) {}
-
-  std::uint32_t Ref(const Value& v) {
-    const std::pair<int, std::int64_t> key(static_cast<int>(v.kind()),
-                                           v.payload());
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
-    const auto ref = static_cast<std::uint32_t>(program_->const_pool.size());
-    program_->const_pool.push_back(v);
-    index_.emplace(key, ref);
-    return ref;
-  }
-
-  // Pool-interns a value known only by its dictionary id (the multiway
-  // schedules drop the Value form at compile time).
-  std::uint32_t RefId(std::uint32_t id) {
-    return Ref(ValueDictionary::Global().Resolve(id));
-  }
-
- private:
-  Program* program_;
-  std::map<std::pair<int, std::int64_t>, std::uint32_t> index_;
-};
-
-std::vector<TermDesc> LowerTerms(const std::vector<CompiledTerm>& terms,
-                                 PoolBuilder* pool) {
+std::vector<TermDesc> LowerTerms(const std::vector<CompiledTerm>& terms) {
   std::vector<TermDesc> out;
   out.reserve(terms.size());
   for (const CompiledTerm& t : terms) {
     TermDesc td;
     td.is_constant = t.is_constant;
-    td.index = t.is_constant ? pool->Ref(t.value)
-                             : static_cast<std::uint32_t>(t.slot);
+    if (t.is_constant) {
+      td.id = t.value_id;
+    } else {
+      td.slot = static_cast<std::uint32_t>(t.slot);
+    }
     out.push_back(td);
   }
   return out;
@@ -63,17 +34,14 @@ std::vector<TermDesc> LowerTerms(const std::vector<CompiledTerm>& terms,
 
 Program Lower(const CompiledRule& plan) {
   Program p;
-  // Mirror Apply's id-space gating: plans that cannot run the batch or
-  // multiway executors stay on the struct/value-space paths, so there is
-  // nothing to lower.
-  if (!plan.has_rule_ || !plan.batch_ok_ || plan.steps_.empty()) return p;
+  // Plans that cannot run in id space stay on the depth-first Execute, so
+  // there is nothing to lower.
+  if (!plan.has_rule_ || !plan.id_space_ok_ || plan.steps_.empty()) return p;
 
   p.shape = plan.shape_ == PlanShape::kMultiway ? 1 : 0;
   p.use_index = plan.use_index_;
   p.num_slots = static_cast<std::uint32_t>(plan.num_slots_);
   p.head_predicate = static_cast<std::uint32_t>(plan.head_predicate_);
-
-  PoolBuilder pool(&p);
 
   // --- Descriptor tables -------------------------------------------------
   p.steps.reserve(plan.steps_.size());
@@ -83,13 +51,7 @@ Program Lower(const CompiledRule& plan) {
     sd.arity = static_cast<std::uint32_t>(cs.arity);
     sd.source = static_cast<std::uint8_t>(cs.source);
     sd.key_cols = cs.key_cols;
-    sd.key_template.reserve(cs.key_template_ids.size());
-    for (std::size_t k = 0; k < cs.key_template_ids.size(); ++k) {
-      sd.key_template.push_back(cs.key_template_ids[k] ==
-                                        ValueDictionary::kInvalidId
-                                    ? kPatched
-                                    : pool.Ref(cs.key_template[k]));
-    }
+    sd.key_template_ids = cs.key_template_ids;
     for (const auto& [first_col, repeat_col] : cs.id_checks) {
       sd.id_checks.emplace_back(static_cast<std::uint32_t>(first_col),
                                 static_cast<std::uint32_t>(repeat_col));
@@ -101,11 +63,11 @@ Program Lower(const CompiledRule& plan) {
     p.steps.push_back(std::move(sd));
   }
 
-  p.head = LowerTerms(plan.head_terms_, &pool);
+  p.head = LowerTerms(plan.head_terms_);
   for (std::size_t i = 0; i < plan.negated_preds_.size(); ++i) {
     NegDesc nd;
     nd.predicate = static_cast<std::uint32_t>(plan.negated_preds_[i]);
-    nd.terms = LowerTerms(plan.negated_terms_[i], &pool);
+    nd.terms = LowerTerms(plan.negated_terms_[i]);
     p.negated.push_back(std::move(nd));
   }
 
@@ -122,16 +84,8 @@ Program Lower(const CompiledRule& plan) {
         pd.bound_cols = mp.bound_cols;
         pd.unconditional = mp.unconditional;
         pd.union_cols = mp.union_cols;
-        pd.key_template.reserve(mp.key_template_ids.size());
-        for (std::uint32_t id : mp.key_template_ids) {
-          pd.key_template.push_back(
-              id == ValueDictionary::kInvalidId ? kPatched : pool.RefId(id));
-        }
-        pd.union_template.reserve(mp.union_template_ids.size());
-        for (std::uint32_t id : mp.union_template_ids) {
-          pd.union_template.push_back(
-              id == ValueDictionary::kInvalidId ? kPatched : pool.RefId(id));
-        }
+        pd.key_template_ids = mp.key_template_ids;
+        pd.union_template_ids = mp.union_template_ids;
         for (const CompiledAtomStep::KeyFill& kf : mp.key_fill) {
           pd.key_fill.emplace_back(static_cast<std::uint32_t>(kf.key_index),
                                    static_cast<std::uint32_t>(kf.slot));
@@ -196,8 +150,7 @@ Program Lower(const CompiledRule& plan) {
         for (std::size_t k = 0; k < cs.key_cols.size(); ++k) {
           const auto col = static_cast<std::uint32_t>(cs.key_cols[k]);
           if (cs.key_template_ids[k] != ValueDictionary::kInvalidId) {
-            emit(Op::kFilterConst, da, col, pool.Ref(cs.key_template[k]),
-                 next_pc);
+            emit(Op::kFilterConst, da, col, cs.key_template_ids[k], next_pc);
           } else {
             emit(Op::kFilterKey, da, col, static_cast<std::uint32_t>(k),
                  next_pc);
@@ -238,39 +191,7 @@ Program Lower(const CompiledRule& plan) {
     if (insn.t == kHaltSentinel) insn.t = halt_pc;
   }
 
-  p.ResolveConstants();
   return p;
-}
-
-void Program::ResolveConstants() {
-  ValueDictionary& dict = ValueDictionary::Global();
-  const_ids.resize(const_pool.size());
-  for (std::size_t i = 0; i < const_pool.size(); ++i) {
-    const_ids[i] = dict.Intern(const_pool[i]);
-  }
-  auto resolve = [&](const std::vector<std::uint32_t>& refs,
-                     std::vector<std::uint32_t>* out) {
-    out->assign(refs.size(), ValueDictionary::kInvalidId);
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      if (refs[i] < const_ids.size()) (*out)[i] = const_ids[refs[i]];
-    }
-  };
-  auto resolve_terms = [&](std::vector<TermDesc>* terms) {
-    for (TermDesc& t : *terms) {
-      if (t.is_constant && t.index < const_ids.size()) {
-        t.id = const_ids[t.index];
-      }
-    }
-  };
-  for (StepDesc& sd : steps) resolve(sd.key_template, &sd.key_template_ids);
-  resolve_terms(&head);
-  for (NegDesc& nd : negated) resolve_terms(&nd.terms);
-  for (MwStepDesc& ms : mw_steps) {
-    for (ProbeDesc& pr : ms.probes) {
-      resolve(pr.key_template, &pr.key_template_ids);
-      resolve(pr.union_template, &pr.union_template_ids);
-    }
-  }
 }
 
 }  // namespace bytecode

@@ -9,7 +9,6 @@
 #include "eval/database.h"
 #include "eval/relation.h"
 #include "obs/metrics.h"
-#include "util/interning.h"
 
 // Computed-goto dispatch threads each handler directly into the next
 // opcode's jump, giving the branch predictor one indirect-branch site per
@@ -50,8 +49,6 @@ const char* OpName(Op op) {
       return "load";
     case Op::kMember:
       return "member";
-    case Op::kMemberOld:
-      return "member_old";
     case Op::kEmit:
       return "emit";
     case Op::kJump:
@@ -84,12 +81,10 @@ void PublishDispatchCounts(const DispatchCounts& counts) {
 
 namespace {
 
-// Loop-invariant per-step source state, resolved once per Run with
-// exactly ApplyBatch's rules (see eval/compiled_rule.cc): relation, row
-// range [begin, end), liveness, and -- when the step probes an index --
-// a direct view. The range is emptied for dead steps so a validated but
-// hand-written program that enters a dead step's Next op yields no rows
-// instead of touching mismatched columns.
+// Loop-invariant per-step source state, resolved once per Run exactly as
+// CompiledRule::Execute resolves it (see eval/compiled_rule.h): relation,
+// row range [begin, end), liveness, and -- when the step probes an
+// index -- a direct view.
 struct StepRt {
   const Relation* rel = nullptr;
   std::size_t begin = 0;
@@ -126,9 +121,9 @@ struct MwProbeRt {
   const std::vector<std::uint32_t>* root = nullptr;
 };
 
-// Per-multiway-step scratch, mirroring ApplyMultiway's per-depth state:
-// election keys, union membership keys, per-probe candidate lists, the
-// winner's materialized projection, and the iteration cursor.
+// Per-multiway-step scratch: election keys, union membership keys,
+// per-probe candidate lists, the winner's materialized projection, and
+// the iteration cursor.
 struct MwStepRt {
   std::vector<MwProbeRt> probes;
   std::vector<std::vector<std::uint32_t>> keys;
@@ -140,45 +135,22 @@ struct MwStepRt {
   std::size_t smallest = 0;
 };
 
-struct NegRt {
-  const Relation* rel = nullptr;
-  bool row_store = false;
-};
-
 template <bool kCount>
-bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
+void RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
              const OldLimits* old_limits, DerivedRows* out, MatchStats* stats,
              DispatchCounts* dispatch) {
-  if (p.code.empty() || p.shape > 1) return false;
-  if (p.const_ids.size() != p.const_pool.size()) return false;  // unresolved
-
-  // ---- Guards (no counter bumps, no side effects) -----------------------
-  const auto head_pred = static_cast<PredicateId>(p.head_predicate);
-  if (head_pred < 0 || head_pred >= full.symbols()->NumPredicates()) {
-    return false;
-  }
-  if (full.symbols()->PredicateArity(head_pred) !=
-      static_cast<int>(p.head.size())) {
-    return false;
-  }
-  std::vector<NegRt> negs;
+  std::vector<const Relation*> negs;
   negs.reserve(p.negated.size());
   for (const NegDesc& nd : p.negated) {
-    const Relation& nr =
-        full.relation(static_cast<PredicateId>(nd.predicate));
-    if (!nr.empty() && nr.arity() != static_cast<int>(nd.terms.size())) {
-      return false;
-    }
-    negs.push_back(NegRt{&nr, !nr.columnar()});
+    negs.push_back(&full.relation(static_cast<PredicateId>(nd.predicate)));
   }
 
-  // ---- Step sources (ApplyBatch's per-depth resolution, verbatim) -------
+  // ---- Step sources ------------------------------------------------------
   const std::size_t nsteps = p.steps.size();
   std::vector<StepRt> srt(nsteps);
   for (std::size_t d = 0; d < nsteps; ++d) {
     const StepDesc& sd = p.steps[d];
     const auto source = static_cast<AtomSource>(sd.source);
-    if (source == AtomSource::kDelta && delta == nullptr) return false;
     const RowRange range =
         ResolveAtomSource(source, static_cast<PredicateId>(sd.predicate),
                           full, delta, old_limits);
@@ -189,11 +161,7 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
     rt.end = range.end;
     rt.dead = range.empty() || rel.arity() != static_cast<int>(sd.arity);
     rt.old_only = source == AtomSource::kOld;
-    if (!rt.dead && !rel.columnar()) return false;
-    if (rt.dead) {
-      rt.begin = rt.end = 0;
-      continue;
-    }
+    if (rt.dead) continue;
     if (p.shape != 0) continue;  // multiway code never runs left-deep probes
     // Partially bound probes read an index; fully bound ones find their
     // one candidate row through the dedup table.
@@ -223,20 +191,23 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
     }
   }
 
-  // ---- Multiway probe state (ApplyMultiway's prologue, verbatim) --------
+  // ---- Multiway probe state --------------------------------------------
+  // Root candidate lists built by scanning (old snapshots, delta ranges,
+  // repeated variables) are owned by a deque so their pointers stay
+  // stable as more are added.
   std::deque<std::vector<std::uint32_t>> owned_roots;
   std::vector<MwStepRt> mrt;
+  // Every multiway atom takes part in every intersection, so one dead
+  // atom kills every match before any probe happens: the run goes
+  // straight to the final kHalt.
+  bool no_match = false;
   if (p.shape == 1) {
-    if (p.mw_steps.empty()) return false;
-    // Any dead atom empties the whole intersection: report zero new facts
-    // without touching the head relation, exactly like ApplyMultiway.
-    for (const StepRt& rt : srt) {
-      if (rt.dead) return true;
-    }
+    for (const StepRt& rt : srt) no_match |= rt.dead;
+  }
+  if (p.shape == 1 && !no_match) {
     mrt.resize(p.mw_steps.size());
     for (std::size_t s = 0; s < p.mw_steps.size(); ++s) {
       const MwStepDesc& ms = p.mw_steps[s];
-      if (ms.probes.empty()) return false;
       MwStepRt& mr = mrt[s];
       const std::size_t num_probes = ms.probes.size();
       mr.probes.resize(num_probes);
@@ -247,15 +218,9 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
       mr.iter = &Relation::EmptyRowIds();
       for (std::size_t pi = 0; pi < num_probes; ++pi) {
         const ProbeDesc& probe = ms.probes[pi];
-        if (probe.atom >= nsteps || probe.var_cols.empty()) return false;
-        if (probe.unconditional != probe.bound_cols.empty()) return false;
         const StepRt& at = srt[probe.atom];
         const Relation& rel = *at.rel;
         MwProbeRt& prt = mr.probes[pi];
-        // Pre-size the key scratch so a hand-written program that skips
-        // the open op still finds correctly-sized buffers.
-        mr.keys[pi].assign(probe.key_template_ids.size(), 0);
-        mr.ukeys[pi].assign(probe.union_template_ids.size(), 0);
         if (!probe.unconditional) {
           if (probe.bound_cols.size() == 1) {
             prt.single = rel.PrepareSingleIndex(probe.bound_cols[0]);
@@ -294,7 +259,6 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
   }
 
   // ---- Mutable machine state --------------------------------------------
-  const std::uint32_t dict_size = ValueDictionary::Global().size();
   std::vector<std::uint32_t> slots(p.num_slots, 0);
   std::vector<std::vector<std::uint32_t>> keys(nsteps);
   std::vector<IterRt> iters(nsteps);
@@ -302,39 +266,23 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
     keys[d] = p.steps[d].key_template_ids;
   }
   MatchStats local;
-  // Head rows are appended to `out` directly and rolled back if the run
-  // is rejected at the end.
-  const std::size_t out_base = out->ids.size();
   std::size_t derived_count = 0;
   std::vector<std::uint32_t> neg_key;
 
-  // Emit boundary, shared by kEmit and the fused superinstructions:
-  // ApplyBatch/ApplyMultiway's per-match tail bump for bump.
+  // Emit boundary, shared by kEmit and the fused superinstructions: bump
+  // substitutions per complete match, test the negated literals in id
+  // space against `full`, append the head row.
   auto emit_match = [&]() {
     ++local.substitutions;
     for (std::size_t ni = 0; ni < negs.size(); ++ni) {
-      const NegDesc& nd = p.negated[ni];
       neg_key.clear();
-      for (const TermDesc& t : nd.terms) {
-        neg_key.push_back(t.is_constant ? t.id : slots[t.index]);
+      for (const TermDesc& t : p.negated[ni].terms) {
+        neg_key.push_back(t.is_constant ? t.id : slots[t.slot]);
       }
-      if (negs[ni].row_store) {
-        // Row-store membership resolves ids through the dictionary; an
-        // id no value ever interned cannot be in any relation.
-        bool ids_ok = true;
-        for (std::uint32_t id : neg_key) {
-          if (id >= dict_size) {
-            ids_ok = false;
-            break;
-          }
-        }
-        if (ids_ok && negs[ni].rel->ContainsIds(neg_key)) return;
-      } else if (negs[ni].rel->ContainsIds(neg_key)) {
-        return;
-      }
+      if (negs[ni]->ContainsIds(neg_key)) return;
     }
     for (const TermDesc& t : p.head) {
-      out->ids.push_back(t.is_constant ? t.id : slots[t.index]);
+      out->ids.push_back(t.is_constant ? t.id : slots[t.slot]);
     }
     ++derived_count;
   };
@@ -445,17 +393,16 @@ bool RunImpl(const Program& p, const Database& full, const DeltaRanges* delta,
 
   // ---- Dispatch ---------------------------------------------------------
   const Insn* const code = p.code.data();
-  const Insn* ip = code;
+  const Insn* ip = no_match ? code + p.code.size() - 1 : code;
 
 #if DATALOG_BYTECODE_COMPUTED_GOTO
   static const void* const kLabels[kNumOps] = {
       &&lbl_kHalt,        &&lbl_kLoadKey,     &&lbl_kLoop,
       &&lbl_kLoopNext,    &&lbl_kProbe,       &&lbl_kProbeNext,
       &&lbl_kFilterConst, &&lbl_kFilterKey,   &&lbl_kFilterEq,
-      &&lbl_kLoad,        &&lbl_kMember,      &&lbl_kMemberOld,
-      &&lbl_kEmit,        &&lbl_kJump,        &&lbl_kSeek,
-      &&lbl_kSeekNext,    &&lbl_kLoopEmitAll, &&lbl_kProbeEmitAll,
-      &&lbl_kSeekEmitAll};
+      &&lbl_kLoad,        &&lbl_kMember,      &&lbl_kEmit,
+      &&lbl_kJump,        &&lbl_kSeek,        &&lbl_kSeekNext,
+      &&lbl_kLoopEmitAll, &&lbl_kProbeEmitAll, &&lbl_kSeekEmitAll};
 #define VM_DISPATCH()                                          \
   do {                                                         \
     if constexpr (kCount) {                                    \
@@ -541,7 +488,7 @@ vm_dispatch:
 
   VM_CASE(kFilterConst) {
     if (srt[ip->a].rel->column(static_cast<int>(ip->b))[iters[ip->a].row] !=
-        p.const_ids[ip->c]) {
+        ip->c) {
       VM_JUMP(ip->t);
     }
     VM_NEXT();
@@ -571,8 +518,7 @@ vm_dispatch:
     VM_NEXT();
   }
 
-  VM_CASE(kMember)
-  VM_CASE(kMemberOld) {
+  VM_CASE(kMember) {
     const StepRt& rt = srt[ip->a];
     if (rt.dead) VM_JUMP(ip->t);
     ++local.index_lookups;
@@ -681,7 +627,7 @@ vm_dispatch:
 #if !DATALOG_BYTECODE_COMPUTED_GOTO
     case Op::kNumOps:
     default:
-      goto vm_done;  // validated programs never reach this
+      goto vm_done;  // lowered programs never reach this
   }
 #endif
 
@@ -693,32 +639,21 @@ vm_dispatch:
 #endif
 
 vm_done:
-  // Reject derived ids the dictionary has never issued before anything
-  // resolves them (possible only for hand-written programs reading
-  // never-written slots; lowered programs bind every emitted slot).
-  for (std::size_t i = out_base; i < out->ids.size(); ++i) {
-    if (out->ids[i] >= dict_size) {
-      out->ids.resize(out_base);
-      return false;
-    }
-  }
   out->count += derived_count;
   if (stats != nullptr) stats->Add(local);
-  return true;
 }
 
 }  // namespace
 
-bool Run(const Program& program, const Database& full,
+void Run(const Program& program, const Database& full,
          const DeltaRanges* delta, const OldLimits* old_limits,
          DerivedRows* out, MatchStats* stats, DispatchCounts* dispatch) {
   if (dispatch != nullptr) {
     dispatch->fill(0);
-    return RunImpl<true>(program, full, delta, old_limits, out, stats,
-                         dispatch);
+    RunImpl<true>(program, full, delta, old_limits, out, stats, dispatch);
+    return;
   }
-  return RunImpl<false>(program, full, delta, old_limits, out, stats,
-                        nullptr);
+  RunImpl<false>(program, full, delta, old_limits, out, stats, nullptr);
 }
 
 }  // namespace bytecode

@@ -28,7 +28,8 @@ class CompiledRule;
 ///   - repeated occurrences within the same atom compare against the
 ///     slot written moments earlier (`checks`).
 /// The enumeration loop therefore does no per-row classification, no
-/// hash-map binding churn, and no per-probe key allocation.
+/// hash-map binding churn, and no per-probe key allocation. The bytecode
+/// lowering (eval/bytecode/lower.cc) reads the same schedules.
 struct CompiledAtomStep {
   struct KeyFill {
     int key_index;  // position in the key buffer
@@ -49,13 +50,13 @@ struct CompiledAtomStep {
   std::vector<SlotRef> checks;
   std::size_t planned_size = 0;  // PlanningSize at plan time
 
-  // Columnar batch-probe mirrors of the schedules above, precomputed at
-  // compile time so the batch executor never touches a Value:
-  // `key_template_ids` is `key_template` with constants interned to
-  // dictionary ids (patched positions hold kInvalidId until key_fill
-  // overwrites them per probe), and `id_checks` lowers each repeated-
-  // variable check to a row-local column pair (first-occurrence column,
-  // repeat column) compared directly on the raw id arrays.
+  // Id-space mirrors of the schedules above, precomputed at compile time
+  // so the bytecode VM never touches a Value: `key_template_ids` is
+  // `key_template` with constants interned to dictionary ids (patched
+  // positions hold kInvalidId until key_fill overwrites them per probe),
+  // and `id_checks` lowers each repeated-variable check to a row-local
+  // column pair (first-occurrence column, repeat column) compared
+  // directly on the raw id arrays.
   std::vector<std::uint32_t> key_template_ids;
   std::vector<std::pair<int, int>> id_checks;
 };
@@ -68,7 +69,7 @@ struct CompiledAtomStep {
 /// steps; `var_cols` are the columns holding the step's variable
 /// (usually one; repeated occurrences must agree row-locally). A probe
 /// with no bound columns is `unconditional`: its candidate list is the
-/// atom's sorted distinct column ids, computed once per Apply.
+/// atom's sorted distinct column ids, computed once per run.
 struct MultiwayProbe {
   std::size_t atom = 0;
   std::vector<int> var_cols;
@@ -80,7 +81,7 @@ struct MultiwayProbe {
   bool unconditional = false;
   // The union of bound_cols and var_cols (strictly increasing), with its
   // own key template/fill plus the key positions that receive the
-  // candidate id. The executor materializes only the smallest probe's
+  // candidate id. The VM materializes only the smallest probe's
   // candidate list and membership-tests the rest through the index on
   // these columns -- the seek that makes the intersection worst-case
   // optimal instead of paying every probe's full posting size.
@@ -100,13 +101,13 @@ struct MultiwayStep {
 
 /// A head or negated-literal argument: a constant, or a frame slot. A
 /// negative slot marks a variable the positive body never binds; using it
-/// throws, exactly like the legacy Binding::at would on a match.
+/// throws, as Binding::at would on a match.
 struct CompiledTerm {
   bool is_constant = false;
   Value value;
   int slot = -1;
   // Dictionary id of `value` (constants only), interned at compile time
-  // so the batch path instantiates heads and negation keys in id space.
+  // so the VM instantiates heads and negation keys in id space.
   std::uint32_t value_id = 0;
 };
 
@@ -138,13 +139,16 @@ struct MatchFrame {
   std::vector<DepthSource> sources;
 };
 
-/// A rule body compiled to slot-addressed join schedules: the
-/// (rule, delta position, use_old) variant of the legacy Matcher, planned
-/// once and executed many times. Immutable while executing; Replan (and
-/// the cache's Get) may rebuild the schedules between executions.
+/// A rule body compiled to slot-addressed join schedules for one
+/// (rule, delta position, use_old) variant, planned once and executed
+/// many times. Rule plans are lowered to bytecode and run on the VM
+/// (eval/bytecode); the depth-first Execute below serves the MatchAtoms
+/// adapter and the rare rule plan Lower leaves empty. Immutable while
+/// executing; Replan (and the cache's Get) may rebuild the schedules
+/// between executions.
 ///
 /// Thread safety: compiling and Replan-ing require exclusive access.
-/// Execute/Apply are read-only on the plan and on the databases provided
+/// Derive/Apply are read-only on the plan and on the databases provided
 /// EnsureIndexes ran since the last insert (the same frozen-snapshot
 /// contract as Relation::Lookup; see docs/join_compilation.md), so one
 /// plan can serve many worker threads concurrently.
@@ -175,8 +179,8 @@ class CompiledRule {
   /// Recomputes the join order and all schedules against current sizes.
   void Replan(const Database& full, const DeltaRanges* delta);
 
-  /// Pre-builds every index Execute can probe, making a subsequent
-  /// Execute/Apply read-only on the relations (frozen-snapshot contract).
+  /// Pre-builds every index Derive can probe, making a subsequent
+  /// Derive/Apply read-only on the relations (frozen-snapshot contract).
   void EnsureIndexes(const Database& full, const DeltaRanges* delta) const;
 
   /// Enumerates body matches and appends the instantiated head rows --
@@ -185,14 +189,10 @@ class CompiledRule {
   /// (ResolveAtomSource): the full relation, its old prefix, or its
   /// delta range. Only valid for plans compiled from a Rule.
   ///
-  /// Dispatches to the bytecode VM, then the struct executors: the
-  /// multiway intersection (ApplyMultiway), the vectorized batch-probe
-  /// executor (ApplyBatch: level-at-a-time enumeration over flat u32
-  /// frames with branch-light filters on the raw column arrays), and the
-  /// depth-first Execute as the fallback. All of them visit candidate
-  /// rows in the same order, replicate MatchStats bump for bump and
-  /// derive rows in the same order, so they are bit-for-bit
-  /// interchangeable (tests/integration enforces this).
+  /// Runs the lowered program on the bytecode VM, which covers both plan
+  /// shapes. Only a plan whose program is empty -- an empty body, or a
+  /// head or negated variable the positive body never binds (which
+  /// throws) -- runs the depth-first Execute instead.
   void Derive(const Database& full, const DeltaRanges* delta,
               const OldLimits* old_limits, DerivedRows* out,
               MatchStats* stats) const;
@@ -204,9 +204,9 @@ class CompiledRule {
                     const OldLimits* old_limits, Database* out,
                     MatchStats* stats) const;
 
-  /// Enumerates every complete match into `sink` (called with the frame;
-  /// return false to stop early). Counter semantics are identical to the
-  /// legacy Matcher, row for row.
+  /// Enumerates every complete match of the left-deep schedule into
+  /// `sink` (called with the frame; return false to stop early), with
+  /// the same MatchStats bumps as the VM running the same schedule.
   template <typename Sink>
   void Execute(const Database& full, const DeltaRanges* delta,
                const OldLimits* old_limits, MatchFrame* frame,
@@ -220,8 +220,7 @@ class CompiledRule {
     // three are invariant for the whole enumeration (no insert happens
     // while matching), and resolving them per visit would cost a hash
     // lookup per parent row per depth. A dead depth still lets shallower
-    // depths run -- and count -- exactly as the legacy matcher's early
-    // returns do.
+    // depths run -- and count.
     for (std::size_t d = 0; d < steps_.size(); ++d) {
       const CompiledAtomStep& step = steps_[d];
       const RowRange range = ResolveAtomSource(step.source, step.predicate,
@@ -265,7 +264,7 @@ class CompiledRule {
   /// kMultiway when the body's join hypergraph is cyclic with estimated
   /// width >= 2, the multiway and index knobs are on, every
   /// participating relation is non-empty, and the plan qualifies for
-  /// id-space emission (batch_ok). Replan re-decides, so a >= 4x
+  /// id-space execution (id_space_ok). Replan re-decides, so a >= 4x
   /// cardinality drift can flip the shape between rounds.
   PlanShape shape() const { return shape_; }
   const std::vector<MultiwayStep>& multiway_steps() const {
@@ -274,9 +273,8 @@ class CompiledRule {
 
   /// The plan lowered to register-based bytecode (empty when the plan
   /// does not qualify for id-space execution). Rebuilt by every
-  /// BuildSchedules, so Replan keeps it in sync with the struct
-  /// schedules. Apply executes it -- via the computed-goto VM in
-  /// eval/bytecode -- when the bytecode and columnar knobs are on; see
+  /// BuildSchedules, so Replan keeps it in sync with the schedules.
+  /// Derive executes it on the computed-goto VM in eval/bytecode; see
   /// docs/bytecode_vm.md.
   const bytecode::Program& bytecode_program() const { return bc_; }
 
@@ -299,15 +297,6 @@ class CompiledRule {
            static_cast<int>(step.key_cols.size()) != step.arity;
   }
 
-  /// Vectorized executor behind Derive: per join depth, expand the whole
-  /// frontier of candidate frames at once against the raw id columns.
-  /// Returns false -- before bumping any counter or deriving anything --
-  /// when some live relation is not columnar (a knob flipped mid-stream),
-  /// in which case Derive falls back to the depth-first Execute path.
-  bool ApplyBatch(const Database& full, const DeltaRanges* delta,
-                  const OldLimits* old_limits, DerivedRows* out,
-                  MatchStats* stats) const;
-
   /// Builds the multiway variable order and per-step probe schedules
   /// (called by BuildSchedules after it selects PlanShape::kMultiway).
   /// `order` is the planned atom list steps_ was built from -- probe
@@ -317,16 +306,6 @@ class CompiledRule {
   void BuildMultiwaySchedules(
       const std::vector<PlannedAtom>& order,
       const std::unordered_map<VariableId, int>& slot_of);
-
-  /// Generic worst-case-optimal executor behind Derive when the plan
-  /// shape is kMultiway: iterates variables in the plan's fixed order,
-  /// intersecting sorted candidate-id lists contributed by every atom
-  /// containing the variable. Returns false -- before bumping any
-  /// counter or deriving anything -- when some live relation is not
-  /// columnar, in which case Derive falls back to the left-deep path.
-  bool ApplyMultiway(const Database& full, const DeltaRanges* delta,
-                     const OldLimits* old_limits, DerivedRows* out,
-                     MatchStats* stats) const;
 
   static void FillTerms(const std::vector<CompiledTerm>& terms,
                         const MatchFrame& frame, Tuple* out) {
@@ -351,8 +330,7 @@ class CompiledRule {
     }
     const MatchFrame::DepthSource& ds = frame.sources[depth];
     if (ds.dead) {
-      // Empty range or arity mismatch: no matches, and no counter bump
-      // (matching the legacy early returns).
+      // Empty range or arity mismatch: no matches, and no counter bump.
       return true;
     }
     const CompiledAtomStep& step = steps_[depth];
@@ -440,8 +418,9 @@ class CompiledRule {
   bool mw_candidate_ = false;
   std::vector<MultiwayStep> mw_steps_;
   // True when every head/negated term is a constant or a bound slot, so
-  // the batch executor can run without the unbound-variable throw path.
-  bool batch_ok_ = false;
+  // the plan can run in id space without the unbound-variable throw path
+  // (Lower emits a program only then).
+  bool id_space_ok_ = false;
   bytecode::Program bc_;  // rebuilt by BuildSchedules; empty if unlowered
   std::vector<PlannedAtom> atoms_;  // original order; Replan re-sorts
   std::vector<CompiledAtomStep> steps_;

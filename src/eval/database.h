@@ -29,9 +29,8 @@ class Database {
   /// Adds the fact `pred(tuple)`; returns true if it is new.
   bool AddFact(PredicateId pred, Tuple tuple);
 
-  /// Adds the fact whose column values are the dictionary ids `ids`
-  /// (columnar fast path; falls back to value insertion on a row-store
-  /// relation). Returns true if it is new.
+  /// Adds the fact whose column values are the dictionary ids `ids`.
+  /// Returns true if it is new.
   bool AddFactIds(PredicateId pred, const std::vector<std::uint32_t>& ids);
 
   /// The relation for `pred`, created (empty, at the arity the symbol

@@ -6,7 +6,6 @@
 #include <map>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ast/dependence_graph.h"
 #include "ast/validate.h"
@@ -51,61 +50,10 @@ struct PassTask {
   DeltaRanges delta_shard;  // the delta predicate's shard sub-range
   DerivedRows out;    // task-local derivation buffer, duplicates included
   MatchStats match;   // task-local join counters
-  // Compiled plan resolved during prep (null on the legacy-matcher
-  // ablation path); shared read-only across all shards of the pass.
+  // Compiled plan resolved during prep; shared read-only across all
+  // shards of the pass.
   const CompiledRule* plan = nullptr;
 };
-
-/// Pre-builds every index the matcher can probe while running this pass,
-/// so the parallel phase performs no index construction. PlanJoinOrder is
-/// deterministic given the (frozen) relation sizes, and at depth d the
-/// matcher's binding holds exactly the variables of atoms 0..d-1 of the
-/// order, so the bound column set of every probe is known statically.
-/// This is a superset of the probes actually issued: the matcher may
-/// abandon a prefix with no matches, but never probes a column set this
-/// walk does not cover.
-void EnsureIndexesForPass(const Database& full,
-                          const DeltaRanges& delta_shard, const Rule& rule,
-                          std::size_t delta_pos) {
-  if (!IndexLookupsEnabled()) return;
-  std::vector<PlannedAtom> atoms =
-      BuildDeltaPassAtoms(rule, delta_pos, /*use_old=*/true);
-  std::vector<PlannedAtom> order = PlanJoinOrder(full, &delta_shard, atoms);
-  std::unordered_set<VariableId> bound;
-  for (const PlannedAtom& planned : order) {
-    const Atom& atom = planned.atom;
-    // The old snapshot probes the full relation's index like kFull does.
-    const RowRange range = ResolveAtomSource(
-        planned.source == AtomSource::kOld ? AtomSource::kFull
-                                           : planned.source,
-        atom.predicate(), full, &delta_shard, nullptr);
-    const Relation& rel = *range.rel;
-    if (range.empty() || rel.arity() != atom.arity()) {
-      // Nothing to index; also keeps the shared empty-relation sentinel
-      // untouched (the matcher skips empty relations too).
-      for (const Term& t : atom.args()) {
-        if (t.is_variable()) bound.insert(t.var());
-      }
-      continue;
-    }
-    std::vector<int> bound_cols;
-    for (int i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.args()[static_cast<std::size_t>(i)];
-      if (t.is_constant() || (t.is_variable() && bound.contains(t.var()))) {
-        bound_cols.push_back(i);
-      }
-    }
-    // Partially bound probes use the index; fully bound probes go
-    // through the dedup table.
-    if (!bound_cols.empty() &&
-        static_cast<int>(bound_cols.size()) != atom.arity()) {
-      rel.EnsureIndex(bound_cols);
-    }
-    for (const Term& t : atom.args()) {
-      if (t.is_variable()) bound.insert(t.var());
-    }
-  }
-}
 
 }  // namespace
 
@@ -184,22 +132,15 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
         }
       }
     }
-    if (CompiledRulePlansEnabled()) {
-      for (PassTask& task : tasks) {
-        const CompiledRule& plan =
-            cache.Get(rules[task.rule_index], task.delta_pos,
-                      /*use_old=*/true, *db, &delta, &stats.match);
-        task.plan = &plan;
-        // Index builds happen here, single-threaded (a no-op for every
-        // shard after a predicate's first): after this, Execute is
-        // read-only on every relation it probes.
-        plan.EnsureIndexes(*db, &task.delta_shard);
-      }
-    } else {
-      for (const PassTask& task : tasks) {
-        EnsureIndexesForPass(*db, task.delta_shard, rules[task.rule_index],
-                             task.delta_pos);
-      }
+    for (PassTask& task : tasks) {
+      const CompiledRule& plan =
+          cache.Get(rules[task.rule_index], task.delta_pos,
+                    /*use_old=*/true, *db, &delta, &stats.match);
+      task.plan = &plan;
+      // Index builds happen here, single-threaded (a no-op for every shard
+      // after a predicate's first): after this, Derive is read-only on
+      // every relation it probes.
+      plan.EnsureIndexes(*db, &task.delta_shard);
     }
     stats.index_build_ns += ElapsedNs(prep_start);
     prep_span.Note("tasks", tasks.size());
@@ -216,16 +157,10 @@ EvalStats RunSemiNaiveFixpointParallel(const std::vector<Rule>& rules,
     stats.parallel_tasks += tasks.size();
     const Database& frozen = *db;
     for (PassTask& task : tasks) {
-      pool->Submit([&rules, &frozen, &old_limits, &task] {
+      pool->Submit([&frozen, &old_limits, &task] {
         TraceSpan task_span("parallel/task");
-        if (task.plan != nullptr) {
-          task.plan->Derive(frozen, &task.delta_shard, &old_limits, &task.out,
-                            &task.match);
-        } else {
-          DeriveRuleWithDelta(rules[task.rule_index], frozen,
-                              task.delta_shard, task.delta_pos, &task.out,
-                              &task.match, &old_limits);
-        }
+        task.plan->Derive(frozen, &task.delta_shard, &old_limits, &task.out,
+                          &task.match);
         if (task_span.active()) {
           task_span.Note("rule", task.rule_index);
           task_span.Note("delta_pos", task.delta_pos);

@@ -7,19 +7,14 @@
 namespace datalog {
 
 namespace {
-bool columnar_storage_enabled = true;
-
-/// Reusable id scratch buffers for Value->id key conversion on the
-/// columnar probe paths. Thread-local so concurrent frozen-snapshot
+/// Reusable id scratch buffers for Value->id key conversion on the probe
+/// paths. Thread-local so concurrent frozen-snapshot
 /// readers never share them.
 std::vector<std::uint32_t>& IdScratch() {
   thread_local std::vector<std::uint32_t> scratch;
   return scratch;
 }
 }  // namespace
-
-void SetColumnarStorage(bool enabled) { columnar_storage_enabled = enabled; }
-bool ColumnarStorageEnabled() { return columnar_storage_enabled; }
 
 bool Relation::RowIdTable::InsertOrFind(const Columns& columns,
                                         const std::uint32_t* ids,
@@ -104,12 +99,6 @@ bool Relation::InsertIdRow(const std::uint32_t* ids, std::uint64_t hash) {
 }
 
 bool Relation::Insert(Tuple tuple) {
-  if (!columnar_) {
-    auto [it, inserted] = row_ids_.try_emplace(
-        std::move(tuple), static_cast<std::uint32_t>(rows_.size()));
-    if (inserted) rows_.push_back(it->first);
-    return inserted;
-  }
   std::vector<std::uint32_t>& ids = IdScratch();
   ValueDictionary::Global().InternRow(tuple, &ids);
   if (!InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()))) {
@@ -128,42 +117,31 @@ std::size_t Relation::InsertIdRows(const std::vector<std::uint32_t>& ids,
   const std::size_t arity = static_cast<std::size_t>(arity_);
   ValueDictionary& dict = ValueDictionary::Global();
   std::size_t added = 0;
-  if (columnar_) {
-    // Software-pipelined: row r + kAhead is hashed and its slot
-    // prefetched while row r is probed.
-    constexpr std::size_t kAhead = 8;
-    std::array<std::uint64_t, kAhead> hashes;
-    auto hash_ahead = [&](std::size_t r) {
-      const std::uint64_t hash =
-          RowIdTable::HashIds(ids.data() + r * arity, arity);
-      id_table_.Prefetch(hash);
-      hashes[r % kAhead] = hash;
-    };
-    for (std::size_t r = 0; r < std::min(count, kAhead); ++r) hash_ahead(r);
-    for (std::size_t r = 0; r < count; ++r) {
-      const std::uint64_t hash = hashes[r % kAhead];
-      if (r + kAhead < count) hash_ahead(r + kAhead);
-      const std::uint32_t* row = ids.data() + r * arity;
-      if (!InsertIdRow(row, hash)) continue;
-      // The Tuple row view is resolved from the dictionary only for rows
-      // that are genuinely new -- duplicates never touch a Value.
-      Tuple tuple;
-      tuple.reserve(arity);
-      for (std::size_t c = 0; c < arity; ++c) {
-        tuple.push_back(dict.Resolve(row[c]));
-      }
-      rows_.push_back(std::move(tuple));
-      ++added;
-    }
-    return added;
-  }
+  // Software-pipelined: row r + kAhead is hashed and its slot prefetched
+  // while row r is probed.
+  constexpr std::size_t kAhead = 8;
+  std::array<std::uint64_t, kAhead> hashes;
+  auto hash_ahead = [&](std::size_t r) {
+    const std::uint64_t hash =
+        RowIdTable::HashIds(ids.data() + r * arity, arity);
+    id_table_.Prefetch(hash);
+    hashes[r % kAhead] = hash;
+  };
+  for (std::size_t r = 0; r < std::min(count, kAhead); ++r) hash_ahead(r);
   for (std::size_t r = 0; r < count; ++r) {
+    const std::uint64_t hash = hashes[r % kAhead];
+    if (r + kAhead < count) hash_ahead(r + kAhead);
+    const std::uint32_t* row = ids.data() + r * arity;
+    if (!InsertIdRow(row, hash)) continue;
+    // The Tuple row view is resolved from the dictionary only for rows
+    // that are genuinely new -- duplicates never touch a Value.
     Tuple tuple;
     tuple.reserve(arity);
     for (std::size_t c = 0; c < arity; ++c) {
-      tuple.push_back(dict.Resolve(ids[r * arity + c]));
+      tuple.push_back(dict.Resolve(row[c]));
     }
-    if (Insert(std::move(tuple))) ++added;
+    rows_.push_back(std::move(tuple));
+    ++added;
   }
   return added;
 }
@@ -177,7 +155,6 @@ void Relation::ReserveRows(std::size_t additional) {
   if (want > rows_.capacity()) {
     rows_.reserve(std::max(want, rows_.capacity() * 2));
   }
-  if (!columnar_) return;
   for (auto& col : columns_) {
     if (want > col.capacity()) col.reserve(std::max(want, col.capacity() * 2));
   }
@@ -186,12 +163,6 @@ void Relation::ReserveRows(std::size_t additional) {
 
 std::size_t Relation::UnionWith(const Relation& other) {
   std::size_t added = 0;
-  if (!columnar_ || !other.columnar_) {
-    for (const Tuple& row : other.rows_) {
-      if (Insert(row)) ++added;
-    }
-    return added;
-  }
   ReserveRows(other.size());
   std::vector<std::uint32_t>& ids = IdScratch();
   ids.resize(columns_.size());
@@ -210,82 +181,47 @@ std::size_t Relation::UnionWith(const Relation& other) {
 }
 
 std::uint32_t Relation::FindRowId(const Tuple& tuple) const {
-  if (!columnar_) {
-    auto it = row_ids_.find(tuple);
-    return it == row_ids_.end() ? kNoRow : it->second;
-  }
   if (rows_.empty()) return kNoRow;
   std::vector<std::uint32_t>& ids = IdScratch();
   // A tuple containing a value the dictionary has never seen cannot be
-  // stored in any columnar relation.
+  // stored in any relation.
   if (!ValueDictionary::Global().LookupRow(tuple, &ids)) return kNoRow;
   return id_table_.Find(columns_, ids.data());
 }
 
-std::uint32_t Relation::FindRowIdByIdsSlow(
-    const std::vector<std::uint32_t>& ids) const {
-  if (ids.size() != static_cast<std::size_t>(arity_)) return kNoRow;
-  if (columnar_) return id_table_.Find(columns_, ids.data());
-  if (rows_.empty()) return kNoRow;
-  ValueDictionary& dict = ValueDictionary::Global();
-  Tuple tuple;
-  tuple.reserve(ids.size());
-  for (std::uint32_t id : ids) tuple.push_back(dict.Resolve(id));
-  auto it = row_ids_.find(tuple);
-  return it == row_ids_.end() ? kNoRow : it->second;
-}
-
 std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
   std::size_t erased = 0;
-  if (!columnar_) {
-    for (const Tuple& tuple : tuples) {
-      erased += row_ids_.erase(tuple);
+  // Collect the distinct stored rows to remove (erasure is cold: the
+  // incremental engine runs it between rounds with exclusive access, so
+  // a temporary node-based set here is fine).
+  std::unordered_set<std::vector<std::uint32_t>, IdRowHash> doomed;
+  std::vector<std::uint32_t>& ids = IdScratch();
+  ValueDictionary& dict = ValueDictionary::Global();
+  for (const Tuple& tuple : tuples) {
+    if (!dict.LookupRow(tuple, &ids)) continue;  // never stored
+    if (id_table_.Find(columns_, ids.data()) != kNoRow) {
+      if (doomed.insert(ids).second) ++erased;
     }
-    if (erased == 0) return 0;
-    // Compact the row vector to the surviving tuples, preserving their
-    // relative order, and renumber their row ids.
-    std::vector<Tuple> survivors;
-    survivors.reserve(rows_.size() - erased);
-    for (Tuple& row : rows_) {
-      auto it = row_ids_.find(row);
-      if (it == row_ids_.end()) continue;
-      it->second = static_cast<std::uint32_t>(survivors.size());
-      survivors.push_back(std::move(row));
-    }
-    rows_ = std::move(survivors);
-  } else {
-    // Collect the distinct stored rows to remove (erasure is cold: the
-    // incremental engine runs it between rounds with exclusive access,
-    // so a temporary node-based set here is fine).
-    std::unordered_set<std::vector<std::uint32_t>, IdRowHash> doomed;
-    std::vector<std::uint32_t>& ids = IdScratch();
-    ValueDictionary& dict = ValueDictionary::Global();
-    for (const Tuple& tuple : tuples) {
-      if (!dict.LookupRow(tuple, &ids)) continue;  // never stored
-      if (id_table_.Find(columns_, ids.data()) != kNoRow) {
-        if (doomed.insert(ids).second) ++erased;
-      }
-    }
-    if (erased == 0) return 0;
-    std::vector<Tuple> survivors;
-    survivors.reserve(rows_.size() - erased);
-    ids.resize(columns_.size());
-    std::vector<std::vector<std::uint32_t>> new_columns(columns_.size());
-    for (auto& col : new_columns) col.reserve(rows_.size() - erased);
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      for (std::size_t c = 0; c < columns_.size(); ++c) {
-        ids[c] = columns_[c][i];
-      }
-      if (doomed.contains(ids)) continue;
-      for (std::size_t c = 0; c < columns_.size(); ++c) {
-        new_columns[c].push_back(ids[c]);
-      }
-      survivors.push_back(std::move(rows_[i]));
-    }
-    columns_ = std::move(new_columns);
-    rows_ = std::move(survivors);
-    id_table_.Rebuild(columns_, rows_.size());
   }
+  if (erased == 0) return 0;
+  std::vector<Tuple> survivors;
+  survivors.reserve(rows_.size() - erased);
+  ids.resize(columns_.size());
+  std::vector<std::vector<std::uint32_t>> new_columns(columns_.size());
+  for (auto& col : new_columns) col.reserve(rows_.size() - erased);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      ids[c] = columns_[c][i];
+    }
+    if (doomed.contains(ids)) continue;
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      new_columns[c].push_back(ids[c]);
+    }
+    survivors.push_back(std::move(rows_[i]));
+  }
+  columns_ = std::move(new_columns);
+  rows_ = std::move(survivors);
+  id_table_.Rebuild(columns_, rows_.size());
   // Invalidate every index: row ids shifted, so the incremental
   // built_up_to watermarks are meaningless now. The entries are emptied
   // in place -- NOT erased -- so any outstanding Prepare{Single,}Index
@@ -300,14 +236,6 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
     index.map.clear();
     index.built_up_to = 0;
   }
-  for (auto& [cols, index] : id_indexes_) {
-    index.map.clear();
-    index.built_up_to = 0;
-  }
-  for (auto& [col, index] : single_id_indexes_) {
-    index.map.clear();
-    index.built_up_to = 0;
-  }
   for (auto& [col, cache] : sorted_keys_) {
     cache.keys.clear();
     cache.built_up_to = 0;
@@ -317,7 +245,6 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
 
 const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
     int column) const {
-  if (!columnar_) return EmptyRowIds();  // row store: no id columns
   SortedKeyCache& cache = sorted_keys_[column];
   if (cache.built_up_to != rows_.size()) {
     // Appended (or erased-and-compacted) rows since the last build: a
@@ -343,26 +270,16 @@ const std::vector<std::uint32_t>& Relation::EmptyRowIds() {
 
 const std::vector<std::uint32_t>& Relation::SingleIndexView::Find(
     const Value& key) const {
-  if (id_map_ != nullptr) {
-    const std::uint32_t id = ValueDictionary::Global().LookupId(key);
-    if (id == ValueDictionary::kInvalidId) return EmptyRowIds();
-    return FindId(id);
-  }
-  auto it = value_map_->find(key);
-  return it == value_map_->end() ? EmptyRowIds() : it->second;
+  const std::uint32_t id = ValueDictionary::Global().LookupId(key);
+  if (id == ValueDictionary::kInvalidId) return EmptyRowIds();
+  return FindId(id);
 }
 
 const std::vector<std::uint32_t>& Relation::MultiIndexView::Find(
     const Tuple& key) const {
-  if (id_map_ != nullptr) {
-    std::vector<std::uint32_t>& ids = IdScratch();
-    if (!ValueDictionary::Global().LookupRow(key, &ids)) {
-      return EmptyRowIds();
-    }
-    return FindIds(ids);
-  }
-  auto it = value_map_->find(key);
-  return it == value_map_->end() ? EmptyRowIds() : it->second;
+  std::vector<std::uint32_t>& ids = IdScratch();
+  if (!ValueDictionary::Global().LookupRow(key, &ids)) return EmptyRowIds();
+  return FindIds(ids);
 }
 
 const std::vector<std::uint32_t>& Relation::Lookup(
@@ -377,11 +294,6 @@ const std::vector<std::uint32_t>& Relation::Lookup(int column,
 }
 
 Relation::SingleIndexView Relation::PrepareSingleIndex(int column) const {
-  if (columnar_) {
-    SingleIdColumnIndex& index = single_id_indexes_[column];
-    ExtendSingleIdIndex(column, &index);
-    return SingleIndexView(&index.map);
-  }
   SingleColumnIndex& index = single_indexes_[column];
   ExtendSingleIndex(column, &index);
   return SingleIndexView(&index.map);
@@ -389,11 +301,6 @@ Relation::SingleIndexView Relation::PrepareSingleIndex(int column) const {
 
 Relation::MultiIndexView Relation::PrepareIndex(
     const std::vector<int>& columns) const {
-  if (columnar_) {
-    IdColumnIndex& index = id_indexes_[columns];
-    ExtendIdIndex(columns, &index);
-    return MultiIndexView(&index.map);
-  }
   ColumnIndex& index = indexes_[columns];
   ExtendIndex(columns, &index);
   return MultiIndexView(&index.map);
@@ -412,31 +319,6 @@ void Relation::ExtendIndex(const std::vector<int>& columns,
   // Write-free when already current, so concurrent Lookups on an
   // EnsureIndex'd column set never race on built_up_to.
   if (index->built_up_to == rows_.size()) return;
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
-    Tuple key;
-    key.reserve(columns.size());
-    for (int c : columns) {
-      key.push_back(rows_[i][static_cast<std::size_t>(c)]);
-    }
-    index->map[std::move(key)].push_back(static_cast<std::uint32_t>(i));
-  }
-  index->built_up_to = rows_.size();
-}
-
-void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
-  // Write-free when already current (frozen-snapshot contract), like
-  // ExtendIndex above.
-  if (index->built_up_to == rows_.size()) return;
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
-    index->map[rows_[i][static_cast<std::size_t>(column)]].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  index->built_up_to = rows_.size();
-}
-
-void Relation::ExtendIdIndex(const std::vector<int>& columns,
-                             IdColumnIndex* index) const {
-  if (index->built_up_to == rows_.size()) return;
   std::vector<std::uint32_t> key(columns.size());
   for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
     for (std::size_t k = 0; k < columns.size(); ++k) {
@@ -447,8 +329,9 @@ void Relation::ExtendIdIndex(const std::vector<int>& columns,
   index->built_up_to = rows_.size();
 }
 
-void Relation::ExtendSingleIdIndex(int column,
-                                   SingleIdColumnIndex* index) const {
+void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
+  // Write-free when already current (frozen-snapshot contract), like
+  // ExtendIndex above.
   if (index->built_up_to == rows_.size()) return;
   const std::vector<std::uint32_t>& col =
       columns_[static_cast<std::size_t>(column)];

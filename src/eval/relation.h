@@ -13,37 +13,19 @@
 
 namespace datalog {
 
-/// Storage-backend knob (an ablation/differential switch like the ones in
-/// eval/rule_matcher.h): when enabled -- the default -- relations
-/// constructed afterwards use the columnar backend (contiguous u32 id
-/// columns over the global ValueDictionary, id-keyed dedup set and
-/// id-keyed postings indexes); when disabled they use the legacy row
-/// store (Value tuples, Value/Tuple-keyed indexes). Both backends are
-/// bit-identical through every public API; the conformance suite in
-/// tests/eval/relation_conformance_test.cc runs against both. Not
-/// thread-safe; flip only between evaluations.
-void SetColumnarStorage(bool enabled);
-bool ColumnarStorageEnabled();
-
 /// A set of tuples of fixed arity with insertion-order iteration and lazy
 /// hash indexes on column subsets. Rows are append-only, which lets indexes
 /// extend incrementally and lets callers treat a row-count watermark as a
 /// stable snapshot boundary (used by semi-naive evaluation).
 ///
-/// Two storage backends (chosen per relation at construction from the
-/// SetColumnarStorage knob; see docs/columnar_storage.md):
-///
-///  - Row store (legacy): rows are `Tuple`s, dedup and membership go
-///    through a Tuple-keyed hash map to row ids, and indexes key on
-///    `Value`/`Tuple`.
-///  - Columnar: every inserted value is interned to a dense u32 id in the
-///    global ValueDictionary and each column is a contiguous
-///    `std::vector<std::uint32_t>`; dedup, membership and the postings
-///    indexes all key on ids, so probes compare 4-byte integers. The
-///    insertion-ordered `rows()` Tuple view is still maintained (it is
-///    the API every engine iterates), assembled from the dictionary at
-///    insert time; the columns are the substrate the compiled batch
-///    probe path scans (eval/compiled_rule.cc).
+/// Storage is columnar (see docs/columnar_storage.md): every inserted
+/// value is interned to a dense u32 id in the global ValueDictionary and
+/// each column is a contiguous `std::vector<std::uint32_t>`; dedup,
+/// membership and the postings indexes all key on ids, so probes compare
+/// 4-byte integers. The insertion-ordered `rows()` Tuple view is still
+/// maintained (it is the API callers iterate), assembled from the
+/// dictionary at insert time; the columns are the substrate the bytecode
+/// VM scans (eval/bytecode/vm.cc).
 ///
 /// Thread safety: mutation (Insert) requires exclusive access, and Lookup
 /// lazily builds indexes, so it is not a pure read in general. Concurrent
@@ -55,29 +37,18 @@ bool ColumnarStorageEnabled();
 class Relation {
  public:
   explicit Relation(int arity = 0)
-      : arity_(arity), columnar_(ColumnarStorageEnabled()) {
-    if (columnar_) {
-      columns_.resize(static_cast<std::size_t>(arity));
-    }
-  }
+      : arity_(arity), columns_(static_cast<std::size_t>(arity)) {}
 
   int arity() const { return arity_; }
   std::size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
 
-  /// True when this relation uses the columnar backend (decided at
-  /// construction; a later knob flip does not migrate existing storage).
-  bool columnar() const { return columnar_; }
-
   /// Inserts `tuple`; returns true if it was not already present.
   bool Insert(Tuple tuple);
 
-  /// Columnar-backend insert by dictionary ids (`ids.size()` must equal
-  /// arity()); returns true if the row was new. The Tuple row view is
-  /// assembled from the dictionary only for rows that are actually new,
-  /// which is what lets the batch probe path derive and dedup entirely
-  /// in id space. Falls back to Insert (resolving the ids) on a
-  /// row-store relation, so callers need not check the backend.
+  /// Insert by dictionary ids (`ids.size()` must equal arity()); returns
+  /// true if the row was new. The Tuple row view is assembled from the
+  /// dictionary only for rows that are actually new.
   bool InsertIds(const std::vector<std::uint32_t>& ids);
 
   /// Inserts `count` id rows stored back to back in `ids` (row r is
@@ -98,9 +69,8 @@ class Relation {
   void ReserveRows(std::size_t additional);
 
   /// Adds every row of `other` (same arity) in its row order; returns how
-  /// many were new. When both relations are columnar the copy stays in id
-  /// space and reuses `other`'s materialized Tuple views (Database's
-  /// UnionWith runs on this).
+  /// many were new. The copy stays in id space and reuses `other`'s
+  /// materialized Tuple views (Database's UnionWith runs on this).
   std::size_t UnionWith(const Relation& other);
 
   /// Erases every tuple of `tuples` that is present; returns how many
@@ -124,15 +94,11 @@ class Relation {
   std::uint32_t FindRowId(const Tuple& tuple) const;
 
   /// FindRowId by dictionary ids; a key whose length is not arity()
-  /// matches nothing. Works on either backend (the row store resolves
-  /// the ids).
+  /// matches nothing. Inline: the executors' fully bound probes land here
+  /// once per candidate binding.
   std::uint32_t FindRowIdByIds(const std::vector<std::uint32_t>& ids) const {
-    // Inline fast path: the executors' fully bound probes land here once
-    // per candidate binding.
-    if (columnar_ && ids.size() == columns_.size()) {
-      return id_table_.Find(columns_, ids.data());
-    }
-    return FindRowIdByIdsSlow(ids);
+    if (ids.size() != columns_.size()) return kNoRow;
+    return id_table_.Find(columns_, ids.data());
   }
 
   bool Contains(const Tuple& tuple) const {
@@ -145,9 +111,9 @@ class Relation {
   const std::vector<Tuple>& rows() const { return rows_; }
   const Tuple& row(std::size_t i) const { return rows_[i]; }
 
-  /// The id column for `c` (columnar backend only): column(c)[i] is the
-  /// dictionary id of row(i)[c]. Contiguous, insertion-ordered, append-
-  /// only between erasures -- the batch probe path's scan substrate.
+  /// The id column for `c`: column(c)[i] is the dictionary id of
+  /// row(i)[c]. Contiguous, insertion-ordered, append-only between
+  /// erasures -- the VM's scan substrate.
   const std::vector<std::uint32_t>& column(int c) const {
     return columns_[static_cast<std::size_t>(c)];
   }
@@ -160,10 +126,10 @@ class Relation {
   const std::vector<std::uint32_t>& Lookup(const std::vector<int>& columns,
                                            const Tuple& key) const;
 
-  /// Single-column fast path: the index is keyed directly on the value
-  /// (its dictionary id on the columnar backend), so neither the probe
-  /// nor the per-row index entries allocate a one-element Tuple. Agrees
-  /// exactly with Lookup({column}, {key}).
+  /// Single-column fast path: the index is keyed directly on the value's
+  /// dictionary id, so neither the probe nor the per-row index entries
+  /// allocate a one-element key. Agrees exactly with
+  /// Lookup({column}, {key}).
   const std::vector<std::uint32_t>& Lookup(int column, const Value& key) const;
 
   /// Builds (or extends to cover all current rows) the index on
@@ -186,53 +152,43 @@ class Relation {
   /// Direct handles onto a built index, skipping the per-probe index-map
   /// find and extend check that Lookup pays. Valid until the next Insert;
   /// EraseAll empties the underlying maps in place, so a stale view
-  /// safely finds nothing instead of dangling. The compiled matcher
-  /// prepares one per join depth per enumeration (the relation is frozen
-  /// while matching). On a columnar relation the view wraps the id-keyed
-  /// index: Find converts the key through the dictionary, FindId probes
-  /// directly (the batch path's access).
+  /// safely finds nothing instead of dangling. The executors prepare one
+  /// per join depth per enumeration (the relation is frozen while
+  /// matching). Find converts the key through the dictionary; FindId /
+  /// FindIds probe by ids directly (the VM's access).
   class SingleIndexView {
    public:
     SingleIndexView() = default;
-    bool valid() const { return value_map_ != nullptr || id_map_ != nullptr; }
+    bool valid() const { return map_ != nullptr; }
     const std::vector<std::uint32_t>& Find(const Value& key) const;
     const std::vector<std::uint32_t>& FindId(std::uint32_t id) const {
-      auto it = id_map_->find(id);
-      return it == id_map_->end() ? EmptyRowIds() : it->second;
+      auto it = map_->find(id);
+      return it == map_->end() ? EmptyRowIds() : it->second;
     }
 
    private:
     friend class Relation;
-    using ValueMap =
-        std::unordered_map<Value, std::vector<std::uint32_t>, ValueHash>;
-    using IdMap = std::unordered_map<std::uint32_t,
-                                     std::vector<std::uint32_t>>;
-    explicit SingleIndexView(const ValueMap* map) : value_map_(map) {}
-    explicit SingleIndexView(const IdMap* map) : id_map_(map) {}
-    const ValueMap* value_map_ = nullptr;
-    const IdMap* id_map_ = nullptr;
+    using Map = std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>;
+    explicit SingleIndexView(const Map* map) : map_(map) {}
+    const Map* map_ = nullptr;
   };
   class MultiIndexView {
    public:
     MultiIndexView() = default;
-    bool valid() const { return value_map_ != nullptr || id_map_ != nullptr; }
+    bool valid() const { return map_ != nullptr; }
     const std::vector<std::uint32_t>& Find(const Tuple& key) const;
     const std::vector<std::uint32_t>& FindIds(
         const std::vector<std::uint32_t>& key) const {
-      auto it = id_map_->find(key);
-      return it == id_map_->end() ? EmptyRowIds() : it->second;
+      auto it = map_->find(key);
+      return it == map_->end() ? EmptyRowIds() : it->second;
     }
 
    private:
     friend class Relation;
-    using ValueMap =
-        std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash>;
-    using IdMap = std::unordered_map<std::vector<std::uint32_t>,
-                                     std::vector<std::uint32_t>, IdRowHash>;
-    explicit MultiIndexView(const ValueMap* map) : value_map_(map) {}
-    explicit MultiIndexView(const IdMap* map) : id_map_(map) {}
-    const ValueMap* value_map_ = nullptr;
-    const IdMap* id_map_ = nullptr;
+    using Map = std::unordered_map<std::vector<std::uint32_t>,
+                                   std::vector<std::uint32_t>, IdRowHash>;
+    explicit MultiIndexView(const Map* map) : map_(map) {}
+    const Map* map_ = nullptr;
   };
 
   /// Build/extend the index on `column` (resp. `columns`, any size >= 0;
@@ -242,8 +198,7 @@ class Relation {
   SingleIndexView PrepareSingleIndex(int column) const;
   MultiIndexView PrepareIndex(const std::vector<int>& columns) const;
 
-  /// The sorted distinct dictionary ids stored in `column` (columnar
-  /// backend only): the root candidate list the multiway-intersection
+  /// The sorted distinct dictionary ids stored in `column`: the root candidate list the multiway-intersection
   /// plan shape intersects against (see docs/multiway_joins.md). Built
   /// lazily and rebuilt when rows were appended since the last call;
   /// same thread-safety contract as Lookup (write-free when current, so
@@ -273,7 +228,7 @@ class Relation {
   }
 
  private:
-  /// Open-addressing dedup/membership table for the columnar backend.
+  /// Open-addressing dedup/membership table.
   /// A slot is one u32: 0 marks it empty; otherwise the bits under
   /// row_mask_ (log2 of the slot count) hold row_id + 1 and the bits
   /// above hold a tag taken from the high half of the row's hash. Row
@@ -368,65 +323,42 @@ class Relation {
   };
 
   struct ColumnIndex {
-    std::unordered_map<Tuple, std::vector<std::uint32_t>, TupleHash> map;
-    std::size_t built_up_to = 0;  // rows_[0, built_up_to) are indexed
+    MultiIndexView::Map map;
+    std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
   };
   struct SingleColumnIndex {
-    std::unordered_map<Value, std::vector<std::uint32_t>, ValueHash> map;
-    std::size_t built_up_to = 0;  // rows_[0, built_up_to) are indexed
-  };
-  struct IdColumnIndex {
-    std::unordered_map<std::vector<std::uint32_t>,
-                       std::vector<std::uint32_t>, IdRowHash>
-        map;
-    std::size_t built_up_to = 0;
-  };
-  struct SingleIdColumnIndex {
-    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> map;
-    std::size_t built_up_to = 0;
+    SingleIndexView::Map map;
+    std::size_t built_up_to = 0;  // rows [0, built_up_to) are indexed
   };
   struct SortedKeyCache {
     std::vector<std::uint32_t> keys;  // sorted distinct ids
     std::size_t built_up_to = 0;      // rows_[0, built_up_to) contributed
   };
 
-  std::uint32_t FindRowIdByIdsSlow(const std::vector<std::uint32_t>& ids) const;
-
-  /// Columnar insert of the id row at `ids` (RowIdTable::HashIds of it
+  /// Insert of the id row at `ids` (RowIdTable::HashIds of it
   /// is `hash`) into the dedup table and the columns; returns true if it
   /// was new, and the caller then appends its Tuple view to rows_.
   bool InsertIdRow(const std::uint32_t* ids, std::uint64_t hash);
 
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;
   void ExtendSingleIndex(int column, SingleColumnIndex* index) const;
-  void ExtendIdIndex(const std::vector<int>& columns,
-                     IdColumnIndex* index) const;
-  void ExtendSingleIdIndex(int column, SingleIdColumnIndex* index) const;
 
   int arity_;
-  bool columnar_;
-  // Insertion-ordered materialized rows: the iteration API of both
-  // backends. On the columnar backend this is the Value view assembled
-  // at insert time; columns_ is the probe substrate.
+  // Insertion-ordered materialized rows: the iteration API, the Value
+  // view assembled at insert time; columns_ is the probe substrate.
   std::vector<Tuple> rows_;
-  // Row-store dedup/membership map, tuple -> row id (row backend only).
-  std::unordered_map<Tuple, std::uint32_t, TupleHash> row_ids_;
-  // Columnar backend: one contiguous id vector per column, plus the
-  // allocation-free open-addressing dedup table over those columns.
+  // One contiguous id vector per column, plus the allocation-free
+  // open-addressing dedup table over those columns.
   std::vector<std::vector<std::uint32_t>> columns_;
   RowIdTable id_table_;
   // Ordered maps keyed by column list (or single column); indexes are
   // created lazily by Lookup and extended incrementally as rows are
-  // appended. The row backend fills the Value/Tuple-keyed families, the
-  // columnar backend the id-keyed ones. EraseAll empties entries in
-  // place (instead of erasing the nodes) so outstanding index views stay
-  // safely dereferenceable.
+  // appended. EraseAll empties entries in place (instead of erasing the
+  // nodes) so outstanding index views stay safely dereferenceable.
   mutable std::map<std::vector<int>, ColumnIndex> indexes_;
   mutable std::map<int, SingleColumnIndex> single_indexes_;
-  mutable std::map<std::vector<int>, IdColumnIndex> id_indexes_;
-  mutable std::map<int, SingleIdColumnIndex> single_id_indexes_;
-  // Sorted distinct per-column id lists for the multiway plan shape
-  // (columnar backend only); same in-place invalidation as the indexes.
+  // Sorted distinct per-column id lists for the multiway plan shape;
+  // same in-place invalidation as the indexes.
   mutable std::map<int, SortedKeyCache> sorted_keys_;
 };
 

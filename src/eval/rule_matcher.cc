@@ -11,9 +11,7 @@ namespace datalog {
 namespace {
 bool greedy_join_ordering_enabled = true;
 bool index_lookups_enabled = true;
-bool compiled_rule_plans_enabled = true;
 bool multiway_joins_enabled = true;
-bool bytecode_execution_enabled = true;
 const JoinOrderHints* join_order_hints = nullptr;
 std::uint64_t join_order_hints_version = 0;
 }  // namespace
@@ -24,16 +22,8 @@ void SetGreedyJoinOrdering(bool enabled) {
 bool GreedyJoinOrderingEnabled() { return greedy_join_ordering_enabled; }
 void SetIndexLookups(bool enabled) { index_lookups_enabled = enabled; }
 bool IndexLookupsEnabled() { return index_lookups_enabled; }
-void SetCompiledRulePlans(bool enabled) {
-  compiled_rule_plans_enabled = enabled;
-}
-bool CompiledRulePlansEnabled() { return compiled_rule_plans_enabled; }
 void SetMultiwayJoins(bool enabled) { multiway_joins_enabled = enabled; }
 bool MultiwayJoinsEnabled() { return multiway_joins_enabled; }
-void SetBytecodeExecution(bool enabled) {
-  bytecode_execution_enabled = enabled;
-}
-bool BytecodeExecutionEnabled() { return bytecode_execution_enabled; }
 
 void SetJoinOrderHints(const JoinOrderHints* hints) {
   join_order_hints = hints;
@@ -107,201 +97,23 @@ std::size_t EmitDerived(const DerivedRows& rows, PredicateId head,
 
 namespace {
 
-/// Recursive backtracking join over the planned atoms.
-class Matcher {
- public:
-  Matcher(const Database& full, const DeltaRanges* delta,
-          const std::vector<PlannedAtom>& atoms,
-          const std::function<bool(const Binding&)>& callback,
-          MatchStats* stats, const OldLimits* old_limits = nullptr)
-      : full_(full),
-        delta_(delta),
-        callback_(callback),
-        stats_(stats),
-        old_limits_(old_limits) {
-    order_ = PlanJoinOrder(full, delta, atoms);
-  }
-
-  void Run() {
-    if (order_.empty()) {
-      // Empty body: exactly one (empty) match.
-      if (stats_ != nullptr) ++stats_->substitutions;
-      callback_(binding_);
-      return;
-    }
-    Enumerate(0);
-  }
-
- private:
-  bool Enumerate(std::size_t depth) {
-    if (depth == order_.size()) {
-      if (stats_ != nullptr) ++stats_->substitutions;
-      return callback_(binding_);
-    }
-    const PlannedAtom& planned = order_[depth];
-    const Atom& atom = planned.atom;
-    // The atom's rows: [0, size) of the full relation, its old prefix,
-    // or its delta range.
-    const RowRange range = ResolveAtomSource(
-        planned.source, atom.predicate(), full_, delta_, old_limits_);
-    const Relation& rel = *range.rel;
-    if (range.empty()) {
-      // No rows, no matches. Returning before any Lookup also keeps the
-      // shared empty-relation sentinel write-free, which the parallel
-      // evaluator's frozen-snapshot contract relies on.
-      return true;
-    }
-    if (rel.arity() != atom.arity()) {
-      return true;  // arity mismatch cannot match (defensive; validated earlier)
-    }
-
-    // Split argument positions into bound (constant / bound variable) and
-    // free.
-    std::vector<int> bound_cols;
-    Tuple key;
-    for (int i = 0; i < atom.arity(); ++i) {
-      const Term& t = atom.args()[static_cast<std::size_t>(i)];
-      if (t.is_constant()) {
-        bound_cols.push_back(i);
-        key.push_back(t.value());
-      } else {
-        auto it = binding_.find(t.var());
-        if (it != binding_.end()) {
-          bound_cols.push_back(i);
-          key.push_back(it->second);
-        }
-      }
-    }
-
-    if (stats_ != nullptr) ++stats_->index_lookups;
-
-    // The membership fast path below uses the dedup table, so it must
-    // honor the index-lookups ablation knob too; with the knob off a
-    // fully bound atom falls through to the scan-and-filter loop like
-    // any other bound atom.
-    if (IndexLookupsEnabled() &&
-        static_cast<int>(bound_cols.size()) == atom.arity()) {
-      // Fully bound: membership test -- the one row holding the key must
-      // lie in the atom's range.
-      if (stats_ != nullptr) ++stats_->tuples_scanned;
-      const std::uint32_t row_id = rel.FindRowId(key);
-      if (row_id != Relation::kNoRow && row_id >= range.begin &&
-          row_id < range.end) {
-        return Enumerate(depth + 1);
-      }
-      return true;
-    }
-
-    auto try_row = [&](const Tuple& row) {
-      std::vector<VariableId> newly_bound;
-      bool ok = true;
-      for (int i = 0; i < atom.arity() && ok; ++i) {
-        const Term& t = atom.args()[static_cast<std::size_t>(i)];
-        if (t.is_constant()) continue;
-        auto [it, inserted] =
-            binding_.emplace(t.var(), row[static_cast<std::size_t>(i)]);
-        if (inserted) {
-          newly_bound.push_back(t.var());
-        } else if (it->second != row[static_cast<std::size_t>(i)]) {
-          ok = false;  // repeated variable with conflicting values
-        }
-      }
-      bool keep_going = true;
-      if (ok) keep_going = Enumerate(depth + 1);
-      for (VariableId v : newly_bound) binding_.erase(v);
-      return keep_going;
-    };
-
-    if (bound_cols.empty()) {
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        if (stats_ != nullptr) ++stats_->tuples_scanned;
-        if (!try_row(rel.row(i))) return false;
-      }
-      return true;
-    }
-
-    if (!IndexLookupsEnabled()) {
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        const Tuple& row = rel.row(i);
-        if (stats_ != nullptr) ++stats_->tuples_scanned;
-        bool matches = true;
-        for (std::size_t k = 0; k < bound_cols.size(); ++k) {
-          if (row[static_cast<std::size_t>(bound_cols[k])] != key[k]) {
-            matches = false;
-            break;
-          }
-        }
-        if (matches && !try_row(row)) return false;
-      }
-      return true;
-    }
-
-    for (std::uint32_t row_id : Relation::RowsInRange(
-             rel.Lookup(bound_cols, key), range.begin, range.end)) {
-      if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (!try_row(rel.row(row_id))) return false;
-    }
-    return true;
-  }
-
-  const Database& full_;
-  const DeltaRanges* delta_;
-  // Stored by value: callers commonly pass a temporary std::function
-  // constructed from a lambda at the call site.
-  std::function<bool(const Binding&)> callback_;
-  MatchStats* stats_;
-  const OldLimits* old_limits_;
-  std::vector<PlannedAtom> order_;
-  Binding binding_;
-};
-
-/// True if every negated literal of `rule` is absent from `full` under
-/// `binding` (safety guarantees the literal is fully bound).
-bool NegationHolds(const Rule& rule, const Database& full,
-                   const Binding& binding) {
-  for (const Literal& lit : rule.body()) {
-    if (!lit.negated) continue;
-    Tuple tuple = InstantiateHead(lit.atom, binding);
-    if (full.Contains(lit.atom.predicate(), tuple)) return false;
-  }
-  return true;
-}
-
 /// Enumerates the (rule, delta position) pass and appends the derived
-/// head rows to `out`: the compiled executors when enabled, else the
-/// legacy Matcher, whose Tuples are interned into ids.
+/// head rows to `out`, through the cached plan when a cache is given.
 void DeriveImpl(const Rule& rule, const Database& full,
                 const DeltaRanges* delta,
                 std::size_t delta_pos,  // or npos
                 DerivedRows* out, MatchStats* stats,
                 const OldLimits* old_limits, CompiledRuleCache* cache) {
   const bool use_old = old_limits != nullptr;
-  if (CompiledRulePlansEnabled()) {
-    if (cache != nullptr) {
-      const CompiledRule& plan =
-          cache->Get(rule, delta_pos, use_old, full, delta, stats);
-      plan.Derive(full, delta, old_limits, out, stats);
-      return;
-    }
-    CompiledRule plan =
-        CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
+  if (cache != nullptr) {
+    const CompiledRule& plan =
+        cache->Get(rule, delta_pos, use_old, full, delta, stats);
     plan.Derive(full, delta, old_limits, out, stats);
     return;
   }
-
-  std::vector<PlannedAtom> atoms =
-      BuildDeltaPassAtoms(rule, delta_pos, use_old);
-  ValueDictionary& dict = ValueDictionary::Global();
-  std::vector<std::uint32_t> ids;
-  auto on_match = [&](const Binding& binding) {
-    if (!NegationHolds(rule, full, binding)) return true;
-    dict.InternRow(InstantiateHead(rule.head(), binding), &ids);
-    out->ids.insert(out->ids.end(), ids.begin(), ids.end());
-    ++out->count;
-    return true;
-  };
-  Matcher matcher(full, delta, atoms, on_match, stats, old_limits);
-  matcher.Run();
+  CompiledRule plan =
+      CompiledRule::Compile(rule, delta_pos, use_old, full, delta);
+  plan.Derive(full, delta, old_limits, out, stats);
 }
 
 std::size_t ApplyRuleImpl(const Rule& rule, const Database& full,
@@ -324,22 +136,17 @@ void MatchAtoms(const Database& full, const DeltaRanges* delta,
                 const std::vector<PlannedAtom>& atoms,
                 const std::function<bool(const Binding&)>& callback,
                 MatchStats* stats) {
-  if (CompiledRulePlansEnabled()) {
-    // Thin adapter over the compiled path: the enumeration runs on the
-    // flat frame and a Binding is materialized only per complete match
-    // (overwritten in place, so buckets are allocated once).
-    const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, delta);
-    MatchFrame frame(plan);
-    Binding binding;
-    plan.Execute(full, delta, /*old_limits=*/nullptr, &frame, stats,
-                 [&](const MatchFrame& f) {
-                   plan.FillBinding(f, &binding);
-                   return callback(binding);
-                 });
-    return;
-  }
-  Matcher matcher(full, delta, atoms, callback, stats);
-  matcher.Run();
+  // Thin adapter over the compiled path: the enumeration runs on the flat
+  // frame and a Binding is materialized only per complete match
+  // (overwritten in place, so buckets are allocated once).
+  const CompiledRule plan = CompiledRule::CompileAtoms(atoms, full, delta);
+  MatchFrame frame(plan);
+  Binding binding;
+  plan.Execute(full, delta, /*old_limits=*/nullptr, &frame, stats,
+               [&](const MatchFrame& f) {
+                 plan.FillBinding(f, &binding);
+                 return callback(binding);
+               });
 }
 
 std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
@@ -464,14 +271,6 @@ std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                CompiledRuleCache* cache) {
   return ApplyRuleImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
                        cache);
-}
-
-void DeriveRuleWithDelta(const Rule& rule, const Database& full,
-                         const DeltaRanges& delta, std::size_t delta_pos,
-                         DerivedRows* out, MatchStats* stats,
-                         const OldLimits* old_limits) {
-  DeriveImpl(rule, full, &delta, delta_pos, out, stats, old_limits,
-             /*cache=*/nullptr);
 }
 
 }  // namespace datalog

@@ -137,13 +137,8 @@ using Binding = std::unordered_map<VariableId, Value>;
 /// engine design choices. Not thread-safe; intended for benchmarks only.
 /// When greedy join ordering is off, body atoms are matched in their
 /// given (textual) order. When index lookups are off, every atom match
-/// scans the whole relation and filters. When compiled rule plans are
-/// off, matching falls back to the legacy row-at-a-time Matcher instead
-/// of the slot-addressed compiled path (see eval/compiled_rule.h). A
-/// fourth knob of the same family, SetColumnarStorage in
-/// eval/relation.h, selects the relation storage backend and thereby
-/// whether compiled Apply takes the vectorized batch-probe path; all
-/// four knobs are bit-for-bit neutral on results and MatchStats.
+/// scans the whole relation and filters. Both are bit-for-bit neutral on
+/// results and on the substitution count.
 ///
 /// SetMultiwayJoins gates the second compiled plan shape: the generic
 /// worst-case-optimal multiway intersection that CompiledRule selects
@@ -152,27 +147,14 @@ using Binding = std::unordered_map<VariableId, Value>;
 /// left-deep shape. Multiway plans also require index lookups: with
 /// SetIndexLookups(false) the planner falls back to left-deep, keeping
 /// that knob a true ablation axis. Neutral on results and on the
-/// substitution count, but -- unlike the other knobs -- not on the
-/// probe/scan counters, which measure the work the shape saves.
+/// substitution count, but not on the probe/scan counters, which
+/// measure the work the shape saves.
 void SetGreedyJoinOrdering(bool enabled);
 bool GreedyJoinOrderingEnabled();
 void SetIndexLookups(bool enabled);
 bool IndexLookupsEnabled();
-void SetCompiledRulePlans(bool enabled);
-bool CompiledRulePlansEnabled();
 void SetMultiwayJoins(bool enabled);
 bool MultiwayJoinsEnabled();
-
-/// SetBytecodeExecution selects how compiled plans execute: lowered to
-/// the register-based bytecode run by the computed-goto VM (default; see
-/// eval/bytecode/bytecode.h and docs/bytecode_vm.md), or the struct
-/// interpreters ApplyBatch/ApplyMultiway. Checked per Apply, not
-/// snapshotted into the plan, so flipping it never triggers a replan and
-/// replanning semantics (cardinality drift, hint-version bumps) are
-/// unchanged. Bit-for-bit neutral on results, MatchStats, and frontier
-/// emission order.
-void SetBytecodeExecution(bool enabled);
-bool BytecodeExecutionEnabled();
 
 /// Join-order hints produced by the analyzer's binding pass (see
 /// src/analysis/binding_pass.cc): for a body whose predicate-id sequence
@@ -208,9 +190,10 @@ std::uint64_t JoinOrderHintsVersion();
 class CompiledRuleCache;  // eval/compiled_rule.h
 
 /// Enumerates every binding that instantiates all `atoms` to facts of the
-/// indicated sources. Atoms are matched in a greedily chosen order
-/// (most-bound / smallest-relation first). The callback returns false to
-/// stop the enumeration early.
+/// indicated sources: a compiled plan (eval/compiled_rule.h) run by its
+/// depth-first Execute, materializing a Binding per complete match. Atoms
+/// are matched in a greedily chosen order (most-bound / smallest-relation
+/// first). The callback returns false to stop the enumeration early.
 ///
 /// `delta` may be null when no atom uses AtomSource::kDelta.
 void MatchAtoms(const Database& full, const DeltaRanges* delta,
@@ -230,8 +213,9 @@ std::vector<PlannedAtom> BuildDeltaPassAtoms(const Rule& rule,
 /// The join order the matcher will use for `atoms`: greedy most-bound /
 /// smallest-relation first, or the given order when greedy planning is
 /// disabled. Deterministic given the relation sizes, which is what lets
-/// the parallel evaluator pre-build exactly the indexes a pass will probe
-/// before fanning out (see docs/parallel_eval.md).
+/// CompiledRule::EnsureIndexes pre-build exactly the indexes a pass will
+/// probe before the parallel evaluator fans out (see
+/// docs/parallel_eval.md).
 std::vector<PlannedAtom> PlanJoinOrder(const Database& full,
                                        const DeltaRanges* delta,
                                        const std::vector<PlannedAtom>& atoms);
@@ -266,14 +250,6 @@ std::size_t ApplyRuleWithDelta(const Rule& rule, const Database& full,
                                Database* out, MatchStats* stats,
                                const OldLimits* old_limits = nullptr,
                                CompiledRuleCache* cache = nullptr);
-
-/// Like ApplyRuleWithDelta without a cache, but appends the derived head
-/// rows to `out` instead of inserting them (the parallel engine's
-/// task-local derivation; EmitDerived inserts them at the round barrier).
-void DeriveRuleWithDelta(const Rule& rule, const Database& full,
-                         const DeltaRanges& delta, std::size_t delta_pos,
-                         DerivedRows* out, MatchStats* stats,
-                         const OldLimits* old_limits);
 
 }  // namespace datalog
 

@@ -47,7 +47,7 @@ class StringInterner {
 };
 
 /// Maps database constants (`Value`s of any kind) to dense `u32` ids and
-/// back. The columnar relation backend stores every column as a
+/// back. Relation storage keeps every column as a
 /// contiguous `std::vector<std::uint32_t>` of these ids, so equality of
 /// two stored values is a single integer compare and per-column hash
 /// indexes key on 4-byte ids instead of 16-byte Values (see
@@ -76,7 +76,7 @@ class ValueDictionary {
   ValueDictionary(const ValueDictionary&) = delete;
   ValueDictionary& operator=(const ValueDictionary&) = delete;
 
-  /// The process-wide dictionary used by every columnar Relation.
+  /// The process-wide dictionary used by every Relation.
   static ValueDictionary& Global();
 
   /// Returns the id for `v`, interning it on first use.
@@ -96,7 +96,7 @@ class ValueDictionary {
   /// Id-resolves every value of `row` into `out` without interning.
   /// Returns false (and leaves `out` unspecified) if any value is
   /// unknown -- for membership probes that means the row cannot be
-  /// present in any columnar relation.
+  /// present in any relation.
   bool LookupRow(const std::vector<Value>& row,
                  std::vector<std::uint32_t>* out) const;
 

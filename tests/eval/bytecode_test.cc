@@ -1,174 +1,103 @@
-// The bytecode layer's own contract tests: lowered programs always
-// validate; the versioned binary encoding round-trips; and a decoded
-// program is executable -- same MatchStats, same derived facts, same
-// insertion order -- as the in-memory program it was serialized from,
-// on a corpus of representative plan shapes and on generator-driven
-// random programs (the "shippable plans" property the server workers
-// rely on; see docs/bytecode_vm.md).
+// The bytecode layer's contract tests: every plan Lower emits a program
+// for derives through the VM -- one run per Derive, never the
+// depth-first fallback -- and derives exactly the head rows and
+// substitutions of the oracle (tests/oracle.h), for every (rule, delta
+// position) variant, on a corpus of representative plan shapes, on the
+// minimization corpus and on generator-driven random programs.
 
 #include "eval/bytecode/bytecode.h"
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "eval/compiled_rule.h"
 #include "eval/seminaive.h"
 #include "gtest/gtest.h"
+#include "oracle.h"
+#include "plan_check.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
 #include "workload/program_gen.h"
 
+#ifndef DATALOG_CORPUS_DIR
+#define DATALOG_CORPUS_DIR "tests/corpus"
+#endif
+
 namespace datalog {
 namespace {
 
+using testing::ExpectPlansMatchOracle;
 using testing::MakeSymbols;
 using testing::ParseDatabaseOrDie;
 using testing::ParseProgramOrDie;
-using testing::ParseRuleOrDie;
+using testing::PlanCheckCounts;
 
 struct KnobGuard {
   ~KnobGuard() {
-    SetCompiledRulePlans(true);
-    SetColumnarStorage(true);
     SetMultiwayJoins(true);
-    SetBytecodeExecution(true);
     SetIndexLookups(true);
     SetGreedyJoinOrdering(true);
   }
 };
 
-TEST(BytecodeTest, KnobDefaultsOn) { EXPECT_TRUE(BytecodeExecutionEnabled()); }
-
-/// Runs `program` against (full, delta, old_limits) into a fresh copy of
-/// `out_base`, returning the stats, the new-fact count, and the result.
-struct RunOutcome {
-  bool ok = false;
-  MatchStats stats;
-  std::size_t new_facts = 0;
-  Database out;
-};
-
-RunOutcome RunProgram(const bytecode::Program& program, const Database& full,
-                      const DeltaRanges* delta, const OldLimits* old_limits,
-                      const Database& out_base) {
-  RunOutcome r{false, MatchStats{}, 0, Database(out_base.symbols())};
-  r.out.UnionWith(out_base);
-  DerivedRows derived;
-  r.ok = bytecode::Run(program, full, delta, old_limits, &derived, &r.stats);
-  if (r.ok) {
-    r.new_facts = EmitDerived(
-        derived, static_cast<PredicateId>(program.head_predicate), &r.out,
-        &r.stats);
-  }
-  return r;
-}
-
-void ExpectRoundTripExecutes(const CompiledRule& plan, const Database& full,
-                             const DeltaRanges* delta,
-                             const OldLimits* old_limits,
-                             const std::string& label) {
-  const bytecode::Program& original = plan.bytecode_program();
-  ASSERT_FALSE(original.empty()) << label;
-
-  std::string error;
-  EXPECT_TRUE(bytecode::Validate(original, &error))
-      << label << ": lowered program rejected: " << error;
-
-  const std::vector<std::uint8_t> bytes = bytecode::Encode(original);
-  bytecode::Program decoded;
-  ASSERT_TRUE(bytecode::Decode(bytes.data(), bytes.size(), &decoded, &error))
-      << label << ": " << error;
-  EXPECT_TRUE(bytecode::Validate(decoded, &error))
-      << label << ": decoded program rejected: " << error;
-
-  // Re-encoding the decoded program must reproduce the bytes exactly
-  // (the format has a canonical encoding).
-  EXPECT_EQ(bytecode::Encode(decoded), bytes) << label;
-
-  RunOutcome a = RunProgram(original, full, delta, old_limits, full);
-  RunOutcome b = RunProgram(decoded, full, delta, old_limits, full);
-  ASSERT_TRUE(a.ok) << label;
-  ASSERT_TRUE(b.ok) << label;
-  EXPECT_EQ(a.new_facts, b.new_facts) << label;
-  EXPECT_EQ(a.stats.substitutions, b.stats.substitutions) << label;
-  EXPECT_EQ(a.stats.index_lookups, b.stats.index_lookups) << label;
-  EXPECT_EQ(a.stats.tuples_scanned, b.stats.tuples_scanned) << label;
-  EXPECT_EQ(a.out, b.out) << label << ": decoded program derived different "
-                          << "facts than the in-memory program";
-}
-
-TEST(BytecodeTest, RoundTripOnCorpusPlanShapes) {
-  // One plan per shape the lowering handles: unbound scans, indexed
-  // probes, delta/old sources, constants, repeated variables, negation,
-  // and the leapfrog multiway schedule.
+TEST(BytecodeTest, VmDerivesCorpusPlanShapes) {
+  // One rule per shape the lowering handles -- unbound scans, indexed
+  // probes, constants, repeated variables, negation, fully bound
+  // membership -- each planned full and per delta position (delta and
+  // old sources), with index lookups on and off (probe vs scan
+  // programs).
   KnobGuard guard;
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols,
                                    "a(1, 2). a(2, 3). a(3, 1). a(2, 2).\n"
-                                   "g(1, 2). g(2, 3).\n"
+                                   "g(1, 2). g(2, 3). g(3, 3).\n"
                                    "b(2, 3).\n"
-                                   "e(1, 2). e(2, 3). e(3, 1). e(1, 3).\n"
                                    "up(1, 2). up(2, 3). down(3, 4).\n"
                                    "flat(2, 2). flat(3, 3).\n");
-  // The delta is row 1 of g, {g(2, 3)}; the old snapshot below is row 0.
-  DeltaRanges delta;
-  const PredicateId g = symbols->LookupPredicate("g").value();
-  delta.Set(g, db.relation(g), 1, 2);
-
-  struct Case {
-    const char* label;
-    const char* rule;
-    std::size_t delta_pos;
-    bool use_old;
-  };
-  const Case cases[] = {
-      {"tc-join", "h0(x, z) :- a(x, y), g(y, z).", std::size_t(-1), false},
-      {"tc-delta", "h1(x, z) :- a(x, y), g(y, z).", 1, false},
-      {"tc-delta-old", "h2(x, z) :- g(x, y), g(y, z).", 0, true},
-      {"const-filter", "h3(x, y) :- a(x, y), g(2, y).", std::size_t(-1),
-       false},
-      {"repeated-var", "h4(x) :- a(x, x).", std::size_t(-1), false},
-      {"negation", "h5(x, y) :- a(x, y), not b(x, y).", std::size_t(-1),
-       false},
-      {"same-gen", "h6(x, y) :- up(x, u), g(u, v), down(v, y).",
-       std::size_t(-1), false},
-  };
-  OldLimits old_limits;
-  old_limits[g] = 1;
-  for (const Case& c : cases) {
-    Rule rule = ParseRuleOrDie(symbols, c.rule);
-    const DeltaRanges* d = c.delta_pos == std::size_t(-1) ? nullptr : &delta;
-    CompiledRule plan =
-        CompiledRule::Compile(rule, c.delta_pos, c.use_old, db, d);
-    ASSERT_TRUE(plan.compiled()) << c.label;
-    plan.EnsureIndexes(db, d);
-    ExpectRoundTripExecutes(plan, db, d,
-                            c.use_old ? &old_limits : nullptr, c.label);
+  Program program = ParseProgramOrDie(
+      symbols,
+      "h0(x, z) :- a(x, y), g(y, z).\n"
+      "h1(x, z) :- g(x, y), g(y, z).\n"
+      "h2(x, y) :- a(x, y), g(2, y).\n"
+      "h3(x) :- a(x, x).\n"
+      "h4(x, y) :- a(x, y), not b(x, y).\n"
+      "h5(x, y) :- up(x, u), g(u, v), down(v, y).\n"
+      "h6(x, y) :- a(x, y), g(x, y), a(y, x).\n");
+  for (bool indexed : {true, false}) {
+    SetIndexLookups(indexed);
+    const PlanCheckCounts counts = ExpectPlansMatchOracle(
+        program.rules(), db, "idx=" + std::to_string(indexed));
+    EXPECT_EQ(counts.on_vm, counts.plans);
   }
 }
 
-TEST(BytecodeTest, RoundTripOnMultiwayTriangle) {
+TEST(BytecodeTest, VmDerivesMultiwayTriangle) {
   KnobGuard guard;
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(
       symbols, "e(1, 2). e(2, 3). e(3, 1). e(1, 3). e(3, 2). e(2, 1).");
-  Rule rule =
-      ParseRuleOrDie(symbols, "t(x, y, z) :- e(x, y), e(y, z), e(x, z).");
+  Program program =
+      ParseProgramOrDie(symbols, "t(x, y, z) :- e(x, y), e(y, z), e(x, z).\n");
   CompiledRule plan = CompiledRule::Compile(
-      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
-  ASSERT_TRUE(plan.compiled());
+      program.rules()[0], /*delta_pos=*/std::size_t(-1), /*use_old=*/false,
+      db, nullptr);
   ASSERT_EQ(plan.bytecode_program().shape, 1)
       << "triangle should lower to the multiway shape";
-  plan.EnsureIndexes(db, nullptr);
-  ExpectRoundTripExecutes(plan, db, nullptr, nullptr, "triangle");
+  const PlanCheckCounts counts =
+      ExpectPlansMatchOracle(program.rules(), db, "triangle");
+  EXPECT_EQ(counts.on_vm, counts.plans);
+  EXPECT_GT(counts.multiway, 0u);
 }
 
-TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
-  // Generator-driven property: saturate a planted program, then for each
-  // of its rules compile the full-join variant and check the serialize /
-  // deserialize / execute loop. 20 seeds x several rules each.
-  KnobGuard guard;
+TEST(BytecodeTest, VmDerivesTwentyRandomSeeds) {
+  // Generator-driven property: saturate a planted program, then check
+  // every variant of every rule against the oracle. 20 seeds x several
+  // rules each.
   std::size_t lowered = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     auto symbols = MakeSymbols();
@@ -197,147 +126,73 @@ TEST(BytecodeTest, RoundTripOnTwentyRandomSeeds) {
     }
     // Saturate so IDB relations are non-empty and plans see real sizes.
     ASSERT_TRUE(EvaluateSemiNaive(planted->program, &db).ok());
-
-    for (const Rule& rule : planted->program.rules()) {
-      CompiledRule plan = CompiledRule::Compile(
-          rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db,
-          nullptr);
-      if (!plan.compiled() || plan.bytecode_program().empty()) continue;
-      plan.EnsureIndexes(db, nullptr);
-      ++lowered;
-      ExpectRoundTripExecutes(plan, db, nullptr, nullptr,
-                              "seed " + std::to_string(seed));
-    }
+    const PlanCheckCounts counts = ExpectPlansMatchOracle(
+        planted->program.rules(), db, "seed " + std::to_string(seed));
+    EXPECT_EQ(counts.on_vm, counts.plans) << "seed " << seed;
+    lowered += counts.on_vm;
   }
   // The generator must actually exercise the lowering; if this drops to
   // zero the property above is vacuous.
   EXPECT_GE(lowered, 20u);
 }
 
-TEST(BytecodeTest, DecodeRejectsMalformedHeaders) {
-  KnobGuard guard;
-  auto symbols = MakeSymbols();
-  Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  CompiledRule plan = CompiledRule::Compile(
-      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
-  std::vector<std::uint8_t> bytes = bytecode::Encode(plan.bytecode_program());
-  ASSERT_GE(bytes.size(), 8u);
+TEST(BytecodeTest, VmDerivesEveryCorpusProgram) {
+  // The minimization corpus (tests/corpus): each input and expected
+  // output program over a database holding every tuple of {1, 2, 3} in
+  // each predicate no rule defines. Facts written as rules have empty
+  // bodies, which Lower leaves to the depth-first path; every other plan
+  // runs on the VM.
+  std::size_t programs = 0;
+  std::size_t on_vm = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(DATALOG_CORPUS_DIR)) {
+    if (entry.path().extension() != ".dl") continue;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    auto symbols = MakeSymbols();
+    Program program = ParseProgramOrDie(symbols, text.str());
+    const std::string label = entry.path().filename().string();
 
-  bytecode::Program out;
-  // Truncations at every prefix length must be rejected, never crash.
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(bytecode::Decode(bytes.data(), len, &out));
-  }
-  // Trailing garbage.
-  std::vector<std::uint8_t> padded = bytes;
-  padded.push_back(0);
-  EXPECT_FALSE(bytecode::Decode(padded.data(), padded.size(), &out));
-  // Bad magic.
-  std::vector<std::uint8_t> bad = bytes;
-  bad[0] ^= 0xFF;
-  EXPECT_FALSE(bytecode::Decode(bad.data(), bad.size(), &out));
-  // Unsupported version.
-  bad = bytes;
-  bad[4] = 0xEE;
-  std::string error;
-  EXPECT_FALSE(bytecode::Decode(bad.data(), bad.size(), &out, &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(BytecodeTest, ValidatorRejectsCorruptedPrograms) {
-  KnobGuard guard;
-  auto symbols = MakeSymbols();
-  Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  CompiledRule plan = CompiledRule::Compile(
-      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
-  const bytecode::Program& good = plan.bytecode_program();
-  ASSERT_TRUE(bytecode::Validate(good));
-
-  {
-    bytecode::Program p = good;  // jump target past the end
-    p.code[0].t = static_cast<std::uint32_t>(p.code.size()) + 5;
-    p.code[0].op = bytecode::Op::kJump;
-    EXPECT_FALSE(bytecode::Validate(p));
-  }
-  {
-    bytecode::Program p = good;  // slot operand out of range
-    p.num_slots = 0;
-    EXPECT_FALSE(bytecode::Validate(p));
-  }
-  {
-    bytecode::Program p = good;  // non-increasing key columns
-    if (!p.steps.empty()) {
-      p.steps[0].key_cols = {1, 0};
-      EXPECT_FALSE(bytecode::Validate(p));
+    std::set<PredicateId> heads, edb;
+    for (const Rule& rule : program.rules()) {
+      heads.insert(rule.head().predicate());
     }
-  }
-  {
-    bytecode::Program p = good;  // dangling pool reference
-    if (!p.steps.empty() && !p.steps[0].key_template.empty()) {
-      p.steps[0].key_template[0] = 99;
-      EXPECT_FALSE(bytecode::Validate(p));
-    } else {
-      p.head[0].is_constant = true;
-      p.head[0].index = 99;
-      EXPECT_FALSE(bytecode::Validate(p));
+    for (const Rule& rule : program.rules()) {
+      for (const Literal& lit : rule.body()) {
+        if (!heads.contains(lit.atom.predicate())) {
+          edb.insert(lit.atom.predicate());
+        }
+      }
     }
-  }
-  {
-    bytecode::Program p = good;  // row access before any Next op ran
-    p.code.assign({{bytecode::Op::kLoad, 0, 0, 0, 0},
-                   {bytecode::Op::kHalt, 0, 0, 0, 0}});
-    EXPECT_FALSE(bytecode::Validate(p));
-  }
-  {
-    bytecode::Program p = good;  // reachable fall-through off the end
-    p.code.pop_back();
-    while (!p.code.empty() && p.code.back().op == bytecode::Op::kHalt) {
-      p.code.pop_back();
+    Database db(symbols);
+    for (PredicateId pred : edb) {
+      const int arity = symbols->PredicateArity(pred);
+      std::size_t count = 1;
+      for (int c = 0; c < arity; ++c) count *= 3;
+      for (std::size_t n = 0; n < count; ++n) {
+        Tuple tuple;
+        for (std::size_t rest = n, c = 0; c < static_cast<std::size_t>(arity);
+             ++c, rest /= 3) {
+          tuple.push_back(Value::Int(static_cast<std::int64_t>(rest % 3) + 1));
+        }
+        db.AddFact(pred, std::move(tuple));
+      }
     }
-    if (!p.code.empty()) {
-      EXPECT_FALSE(bytecode::Validate(p));
-    }
+    const oracle::Facts expected = oracle::Evaluate(program, db);
+    ASSERT_TRUE(EvaluateSemiNaive(program, &db).ok()) << label;
+    ASSERT_EQ(oracle::FactsOf(db), expected) << label;
+
+    const PlanCheckCounts counts =
+        ExpectPlansMatchOracle(program.rules(), db, label);
+    std::size_t facts = 0;
+    for (const Rule& rule : program.rules()) facts += rule.IsFact();
+    EXPECT_EQ(counts.on_vm + facts, counts.plans) << label;
+    ++programs;
+    on_vm += counts.on_vm;
   }
-}
-
-TEST(BytecodeTest, RunDeclinesGracefullyOnBadDatabases) {
-  // Run must return false -- with no partial inserts and no counter
-  // drift -- when the databases contradict the program, so Apply can
-  // fall back to the struct interpreter.
-  KnobGuard guard;
-  auto symbols = MakeSymbols();
-  Database db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  CompiledRule plan = CompiledRule::Compile(
-      rule, /*delta_pos=*/std::size_t(-1), /*use_old=*/false, db, nullptr);
-  const bytecode::Program& program = plan.bytecode_program();
-  ASSERT_FALSE(program.empty());
-
-  // Missing delta for a delta-source program.
-  Rule delta_rule = ParseRuleOrDie(symbols, "h(x, z) :- a(x, y), g(y, z).");
-  DeltaRanges delta = DeltaRanges::Whole(db);
-  CompiledRule delta_plan =
-      CompiledRule::Compile(delta_rule, /*delta_pos=*/1, /*use_old=*/false,
-                            db, &delta);
-  ASSERT_FALSE(delta_plan.bytecode_program().empty());
-  MatchStats stats;
-  DerivedRows out;
-  EXPECT_FALSE(bytecode::Run(delta_plan.bytecode_program(), db,
-                             /*delta=*/nullptr, nullptr, &out, &stats));
-  EXPECT_EQ(stats.substitutions + stats.index_lookups + stats.tuples_scanned,
-            0u);
-  EXPECT_EQ(out.count, 0u);
-  EXPECT_TRUE(out.ids.empty());
-
-  // Row-store relations: the VM declines (id-space execution needs
-  // columns).
-  SetColumnarStorage(false);
-  Database row_db = ParseDatabaseOrDie(symbols, "a(1, 2). g(2, 3).");
-  SetColumnarStorage(true);
-  EXPECT_FALSE(bytecode::Run(program, row_db, nullptr, nullptr, &out, &stats));
-  EXPECT_EQ(out.count, 0u);
+  EXPECT_GE(programs, 30u);
+  EXPECT_GT(on_vm, 0u);
 }
 
 }  // namespace

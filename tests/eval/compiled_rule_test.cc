@@ -1,18 +1,20 @@
-// The compiled-plan layer (eval/compiled_rule.h) must be a drop-in
-// replacement for the legacy row-at-a-time Matcher: identical fixpoints,
-// identical MatchStats row for row on a single application (where both
-// sides plan from the same relation sizes), plus the caching behavior
-// that is the point of the layer -- join orders persist across rounds and
-// replan only on >= 4x cardinality drift or an ablation-knob flip.
+// The compiled-plan layer (eval/compiled_rule.h) derives exactly what the
+// oracle (tests/oracle.h) derives, with MatchStats pinned to the values
+// the plans produced while a legacy row-at-a-time matcher still checked
+// them bump for bump; plus the caching behavior that is the point of the
+// layer -- join orders persist across rounds and replan only on >= 4x
+// cardinality drift or an ablation-knob flip.
 
 #include "eval/compiled_rule.h"
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "eval/seminaive.h"
 #include "gtest/gtest.h"
+#include "oracle.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
 
@@ -28,51 +30,63 @@ struct KnobGuard {
   ~KnobGuard() {
     SetGreedyJoinOrdering(true);
     SetIndexLookups(true);
-    SetCompiledRulePlans(true);
   }
 };
 
-TEST(CompiledRuleTest, CompiledPlansDefaultOn) {
-  EXPECT_TRUE(CompiledRulePlansEnabled());
+struct PinnedStats {
+  std::uint64_t substitutions;
+  std::uint64_t index_lookups;
+  std::uint64_t tuples_scanned;
+};
+
+void ExpectStats(const MatchStats& stats, const PinnedStats& pinned,
+                 const std::string& label) {
+  EXPECT_EQ(stats.substitutions, pinned.substitutions) << label;
+  EXPECT_EQ(stats.index_lookups, pinned.index_lookups) << label;
+  EXPECT_EQ(stats.tuples_scanned, pinned.tuples_scanned) << label;
 }
 
-/// One ApplyRule call plans from identical sizes on both paths, so every
-/// counter -- not just substitutions -- must agree bit for bit.
-TEST(CompiledRuleTest, SingleApplicationStatsMatchLegacyExactly) {
+/// The facts `rule` derives from `db` in one application, per the oracle.
+oracle::Facts OracleApply(const Rule& rule, const Database& db) {
+  oracle::Facts out;
+  for (Tuple& head : oracle::Apply(rule, oracle::FactsOf(db))) {
+    out[rule.head().predicate()].insert(std::move(head));
+  }
+  return out;
+}
+
+/// One ApplyRule per knob combination: the oracle's facts, and every
+/// counter pinned.
+TEST(CompiledRuleTest, SingleApplicationStatsArePinned) {
   KnobGuard guard;
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(
       symbols, "e(1, 2). e(2, 3). e(3, 4). e(4, 1). e(2, 5). t(1, 1).");
   Rule rule = ParseRuleOrDie(symbols, "h(x, z) :- e(x, y), e(y, z).");
 
+  // Indexed by [greedy][indexed], each bool as 0/1.
+  const PinnedStats pinned[2][2] = {{{5, 6, 30}, {5, 6, 10}},
+                                    {{5, 6, 30}, {5, 6, 10}}};
   for (bool greedy : {true, false}) {
     for (bool indexed : {true, false}) {
       SetGreedyJoinOrdering(greedy);
       SetIndexLookups(indexed);
-
-      SetCompiledRulePlans(true);
-      Database out1(symbols);
-      MatchStats compiled;
-      std::size_t added1 = ApplyRule(rule, db, &out1, &compiled);
-
-      SetCompiledRulePlans(false);
-      Database out2(symbols);
-      MatchStats legacy;
-      std::size_t added2 = ApplyRule(rule, db, &out2, &legacy);
-
-      EXPECT_EQ(added1, added2) << "greedy=" << greedy << " idx=" << indexed;
-      EXPECT_EQ(out1, out2);
-      EXPECT_EQ(compiled.substitutions, legacy.substitutions);
-      EXPECT_EQ(compiled.index_lookups, legacy.index_lookups);
-      EXPECT_EQ(compiled.tuples_scanned, legacy.tuples_scanned);
+      const std::string label = "greedy=" + std::to_string(greedy) +
+                                " idx=" + std::to_string(indexed);
+      Database out(symbols);
+      MatchStats stats;
+      std::size_t added = ApplyRule(rule, db, &out, &stats);
+      EXPECT_EQ(oracle::FactsOf(out), OracleApply(rule, db)) << label;
+      EXPECT_EQ(added, out.NumFacts()) << label;
+      ExpectStats(stats, pinned[greedy][indexed], label);
     }
   }
 }
 
 /// Repeated variables within one atom and a fully bound membership atom:
-/// the schedule classification (writes vs checks vs key) must reproduce
-/// the legacy semantics, including with index lookups ablated (the
-/// membership path then scans and filters, honoring the knob).
+/// the schedule classification (writes vs checks vs key) must derive the
+/// oracle's facts, including with index lookups ablated (the membership
+/// path then scans and filters, honoring the knob).
 TEST(CompiledRuleTest, RepeatedVarsAndFullyBoundAtomAgreeAcrossKnobs) {
   KnobGuard guard;
   auto symbols = MakeSymbols();
@@ -82,32 +96,27 @@ TEST(CompiledRuleTest, RepeatedVarsAndFullyBoundAtomAgreeAcrossKnobs) {
   Rule loop = ParseRuleOrDie(symbols, "h(x) :- e(x, x), s(x).");
   Rule back = ParseRuleOrDie(symbols, "p(x, y) :- e(x, y), e(y, x).");
 
-  for (const Rule& rule : {loop, back}) {
+  // Indexed by [rule][indexed].
+  const PinnedStats pinned[2][2] = {{{2, 3, 12}, {2, 3, 4}},
+                                    {{4, 6, 30}, {4, 6, 10}}};
+  const Rule* rules[] = {&loop, &back};
+  for (int r = 0; r < 2; ++r) {
     for (bool indexed : {true, false}) {
       SetIndexLookups(indexed);
-
-      SetCompiledRulePlans(true);
-      Database out1(symbols);
-      MatchStats compiled;
-      ApplyRule(rule, db, &out1, &compiled);
-
-      SetCompiledRulePlans(false);
-      Database out2(symbols);
-      MatchStats legacy;
-      ApplyRule(rule, db, &out2, &legacy);
-
-      EXPECT_EQ(out1, out2) << "idx=" << indexed;
-      EXPECT_EQ(compiled.substitutions, legacy.substitutions);
-      EXPECT_EQ(compiled.index_lookups, legacy.index_lookups);
-      EXPECT_EQ(compiled.tuples_scanned, legacy.tuples_scanned);
+      const std::string label =
+          "rule " + std::to_string(r) + " idx=" + std::to_string(indexed);
+      Database out(symbols);
+      MatchStats stats;
+      ApplyRule(*rules[r], db, &out, &stats);
+      EXPECT_EQ(oracle::FactsOf(out), OracleApply(*rules[r], db)) << label;
+      ExpectStats(stats, pinned[r][indexed], label);
     }
   }
 }
 
 /// The MatchAtoms adapter materializes a Binding per complete match; the
-/// enumerated binding sets must be identical to the legacy matcher's.
+/// enumerated bindings must be exactly the oracle's assignments.
 TEST(CompiledRuleTest, MatchAtomsAdapterEnumeratesSameBindings) {
-  KnobGuard guard;
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "a(1, 2). a(2, 3). a(3, 1).");
   PredicateId a = symbols->LookupPredicate("a").value();
@@ -118,38 +127,27 @@ TEST(CompiledRuleTest, MatchAtomsAdapterEnumeratesSameBindings) {
       {Atom(a, {Term::Variable(x), Term::Variable(y)}), AtomSource::kFull},
       {Atom(a, {Term::Variable(y), Term::Variable(z)}), AtomSource::kFull}};
 
-  auto collect = [&] {
-    std::set<std::vector<std::pair<VariableId, Value>>> seen;
-    MatchStats stats;
-    MatchAtoms(db, nullptr, atoms,
-               [&](const Binding& b) {
-                 std::vector<std::pair<VariableId, Value>> sorted(b.begin(),
-                                                                  b.end());
-                 std::sort(sorted.begin(), sorted.end(),
-                           [](const auto& l, const auto& r) {
-                             return l.first < r.first;
-                           });
-                 seen.insert(std::move(sorted));
-                 return true;
-               },
-               &stats);
-    return std::make_pair(seen, stats.substitutions);
-  };
+  std::set<oracle::Assignment> seen;
+  MatchStats stats;
+  MatchAtoms(db, nullptr, atoms,
+             [&](const Binding& b) {
+               seen.insert(oracle::Assignment(b.begin(), b.end()));
+               return true;
+             },
+             &stats);
 
-  SetCompiledRulePlans(true);
-  auto [compiled, compiled_subs] = collect();
-  SetCompiledRulePlans(false);
-  auto [legacy, legacy_subs] = collect();
-
-  EXPECT_EQ(compiled, legacy);
-  EXPECT_EQ(compiled_subs, legacy_subs);
-  EXPECT_EQ(compiled.size(), 3u);  // the three chained pairs
+  std::vector<Atom> body;
+  for (const PlannedAtom& planned : atoms) body.push_back(planned.atom);
+  const std::vector<oracle::Assignment> expected =
+      oracle::Matches(body, oracle::FactsOf(db));
+  EXPECT_EQ(seen,
+            std::set<oracle::Assignment>(expected.begin(), expected.end()));
+  EXPECT_EQ(stats.substitutions, expected.size());
+  EXPECT_EQ(seen.size(), 3u);  // the three chained pairs
 }
 
 /// Early exit must propagate through the compiled enumeration.
 TEST(CompiledRuleTest, MatchAtomsCallbackCanStopEnumeration) {
-  KnobGuard guard;
-  SetCompiledRulePlans(true);
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "a(1, 2). a(2, 3). a(3, 4).");
   PredicateId a = symbols->LookupPredicate("a").value();
@@ -169,7 +167,6 @@ TEST(CompiledRuleTest, MatchAtomsCallbackCanStopEnumeration) {
 
 TEST(CompiledRuleTest, CacheReplansOnlyOnFourfoldDrift) {
   KnobGuard guard;
-  SetCompiledRulePlans(true);
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "e(1, 2). e(2, 3). s(1).");
   Rule rule = ParseRuleOrDie(symbols, "h(x, y) :- e(x, y), s(x).");
@@ -194,7 +191,6 @@ TEST(CompiledRuleTest, CacheReplansOnlyOnFourfoldDrift) {
 
 TEST(CompiledRuleTest, CacheInvalidatesOnKnobFlip) {
   KnobGuard guard;
-  SetCompiledRulePlans(true);
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "e(1, 2). s(1).");
   Rule rule = ParseRuleOrDie(symbols, "h(x, y) :- e(x, y), s(x).");
@@ -213,7 +209,6 @@ TEST(CompiledRuleTest, CacheInvalidatesOnKnobFlip) {
 /// sizes).
 TEST(CompiledRuleTest, FixedOrderPlansNeverReplanOnGrowth) {
   KnobGuard guard;
-  SetCompiledRulePlans(true);
   SetGreedyJoinOrdering(false);
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(symbols, "e(1, 2). s(1).");
@@ -227,12 +222,11 @@ TEST(CompiledRuleTest, FixedOrderPlansNeverReplanOnGrowth) {
   EXPECT_FALSE(plan.NeedsReplan(db, nullptr));
 }
 
-/// Full engine run: the cached-plan path must produce the same fixpoint
-/// and the same substitution count as the legacy matcher (substitutions
+/// Full engine run: the cached-plan path reaches the oracle's fixpoint,
+/// with the substitution count, facts and rounds pinned (substitutions
 /// are join-order independent, so they survive the cache's deliberately
 /// lazier replanning).
-TEST(CompiledRuleTest, SemiNaiveFixpointMatchesLegacy) {
-  KnobGuard guard;
+TEST(CompiledRuleTest, SemiNaiveFixpointMatchesOracle) {
   auto symbols = MakeSymbols();
   Program p = ParseProgramOrDie(symbols,
                                 "g(x, z) :- a(x, z).\n"
@@ -241,45 +235,31 @@ TEST(CompiledRuleTest, SemiNaiveFixpointMatchesLegacy) {
   Database base(symbols);
   AddGraphFacts({GraphShape::kRandom, 24, 48, 11}, a, &base);
 
-  SetCompiledRulePlans(true);
-  Database d1(symbols);
-  d1.UnionWith(base);
-  EvalStats compiled = EvaluateSemiNaive(p, &d1).value();
+  Database db(symbols);
+  db.UnionWith(base);
+  EvalStats stats = EvaluateSemiNaive(p, &db).value();
 
-  SetCompiledRulePlans(false);
-  Database d2(symbols);
-  d2.UnionWith(base);
-  EvalStats legacy = EvaluateSemiNaive(p, &d2).value();
-
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(compiled.match.substitutions, legacy.match.substitutions);
-  EXPECT_EQ(compiled.facts_derived, legacy.facts_derived);
-  EXPECT_EQ(compiled.iterations, legacy.iterations);
+  EXPECT_EQ(oracle::FactsOf(db), oracle::Evaluate(p, base));
+  EXPECT_EQ(stats.match.substitutions, 937u);
+  EXPECT_EQ(stats.facts_derived, 422u);
+  EXPECT_EQ(stats.iterations, 12u);
 }
 
 /// Negated literals are tested against the full database after the
-/// positive part binds, on both paths.
-TEST(CompiledRuleTest, NegationAgreesWithLegacy) {
-  KnobGuard guard;
+/// positive part binds.
+TEST(CompiledRuleTest, NegationAgreesWithOracle) {
   auto symbols = MakeSymbols();
   Database db = ParseDatabaseOrDie(
       symbols, "e(1, 2). e(2, 3). e(3, 1). blocked(2).");
   Rule rule = ParseRuleOrDie(symbols, "h(x, y) :- e(x, y), not blocked(y).");
 
-  SetCompiledRulePlans(true);
-  Database out1(symbols);
-  MatchStats s1;
-  std::size_t added1 = ApplyRule(rule, db, &out1, &s1);
+  Database out(symbols);
+  MatchStats stats;
+  std::size_t added = ApplyRule(rule, db, &out, &stats);
 
-  SetCompiledRulePlans(false);
-  Database out2(symbols);
-  MatchStats s2;
-  std::size_t added2 = ApplyRule(rule, db, &out2, &s2);
-
-  EXPECT_EQ(added1, 2u);
-  EXPECT_EQ(added1, added2);
-  EXPECT_EQ(out1, out2);
-  EXPECT_EQ(s1.substitutions, s2.substitutions);
+  EXPECT_EQ(added, 2u);
+  EXPECT_EQ(oracle::FactsOf(out), OracleApply(rule, db));
+  EXPECT_EQ(stats.substitutions, 3u);  // e's three rows, before negation
 }
 
 }  // namespace

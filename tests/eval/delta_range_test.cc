@@ -5,8 +5,8 @@
 //
 // Each fixpoint case must reach EvaluateNaive's fixpoint on the
 // sequential engine and on the parallel engine at 1, 2 and 4 threads,
-// under both the bytecode VM and the struct executors, with MatchStats
-// pinned to the counts the copied-delta implementation produced: reading
+// with MatchStats pinned to the counts the copied-delta implementation
+// produced: reading
 // the delta in place changes where rows are read from, never which rows
 // are visited or in what order. Every derived row costs exactly one
 // dedup probe, so dedup_probes equals substitutions on these
@@ -125,11 +125,10 @@ void ExpectCounters(const EvalStats& stats, const Counters& expected,
   EXPECT_EQ(stats.match.dedup_probes, stats.match.substitutions) << label;
 }
 
-class DeltaRangeFixpointTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override { SetBytecodeExecution(GetParam()); }
-  void TearDown() override { SetBytecodeExecution(true); }
-};
+/// Parameterized for the suite's one instance, Bytecode (below): the
+/// suite once also ran the struct executors, and the instance keeps its
+/// name so test ids stay stable.
+class DeltaRangeFixpointTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(DeltaRangeFixpointTest, MatchesNaiveWithPinnedCounters) {
   for (const FixpointCase& c : FixpointCases()) {
@@ -164,10 +163,9 @@ TEST_P(DeltaRangeFixpointTest, MatchesNaiveWithPinnedCounters) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Executors, DeltaRangeFixpointTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("Bytecode")
-                                             : std::string("Struct");
+                         ::testing::Values(true),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return std::string("Bytecode");
                          });
 
 TEST(DeltaRangeTest, SameGenerationRunsFullyBoundDeltaProbes) {
@@ -216,38 +214,34 @@ TEST(DeltaRangeTest, FullyBoundProbeTestsRowIdAgainstTheRange) {
   old_limits[sg] = begin;
 
   const Rule& rule = program.rules()[1];
-  for (bool bytecode : {true, false}) {
-    SetBytecodeExecution(bytecode);
-    CompiledRule plan = CompiledRule::Compile(rule, /*delta_pos=*/1,
-                                              /*use_old=*/true, db, &delta);
-    ASSERT_FALSE(plan.steps().empty());
-    const CompiledAtomStep& last = plan.steps().back();
-    EXPECT_EQ(last.predicate, sg);
-    EXPECT_EQ(last.source, AtomSource::kDelta);
-    EXPECT_EQ(static_cast<int>(last.key_cols.size()), last.arity)
-        << "the delta atom should be the fully bound membership probe";
+  CompiledRule plan = CompiledRule::Compile(rule, /*delta_pos=*/1,
+                                            /*use_old=*/true, db, &delta);
+  ASSERT_FALSE(plan.steps().empty());
+  const CompiledAtomStep& last = plan.steps().back();
+  EXPECT_EQ(last.predicate, sg);
+  EXPECT_EQ(last.source, AtomSource::kDelta);
+  EXPECT_EQ(static_cast<int>(last.key_cols.size()), last.arity)
+      << "the delta atom should be the fully bound membership probe";
 
-    DerivedRows derived;
-    MatchStats stats;
-    plan.Derive(db, &delta, &old_limits, &derived, &stats);
+  DerivedRows derived;
+  MatchStats stats;
+  plan.Derive(db, &delta, &old_limits, &derived, &stats);
 
-    // Brute force: up(x, u), sg(u, v) with sg's row id in [begin, end),
-    // down(v, y).
-    std::uint64_t expected = 0;
-    const Relation& up_rel = db.relation(up);
-    const Relation& down_rel = db.relation(down);
-    for (std::size_t i = 0; i < up_rel.size(); ++i) {
-      for (std::size_t j = 0; j < down_rel.size(); ++j) {
-        const std::uint32_t row = sg_rel.FindRowId(
-            {up_rel.row(i)[1], down_rel.row(j)[0]});
-        if (row != Relation::kNoRow && row >= begin && row < end) ++expected;
-      }
+  // Brute force: up(x, u), sg(u, v) with sg's row id in [begin, end),
+  // down(v, y).
+  std::uint64_t expected = 0;
+  const Relation& up_rel = db.relation(up);
+  const Relation& down_rel = db.relation(down);
+  for (std::size_t i = 0; i < up_rel.size(); ++i) {
+    for (std::size_t j = 0; j < down_rel.size(); ++j) {
+      const std::uint32_t row =
+          sg_rel.FindRowId({up_rel.row(i)[1], down_rel.row(j)[0]});
+      if (row != Relation::kNoRow && row >= begin && row < end) ++expected;
     }
-    EXPECT_GT(expected, 0u);
-    EXPECT_EQ(stats.substitutions, expected) << "bytecode=" << bytecode;
-    EXPECT_EQ(derived.count, expected) << "bytecode=" << bytecode;
   }
-  SetBytecodeExecution(true);
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(stats.substitutions, expected);
+  EXPECT_EQ(derived.count, expected);
 }
 
 TEST(DeltaRangeTest, RecursiveMultiwayBodyPlansTheDeltaAtom) {

@@ -29,9 +29,7 @@ struct KnobGuard {
   ~KnobGuard() {
     SetGreedyJoinOrdering(true);
     SetIndexLookups(true);
-    SetCompiledRulePlans(true);
     SetMultiwayJoins(true);
-    SetColumnarStorage(true);
   }
 };
 

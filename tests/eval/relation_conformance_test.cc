@@ -1,11 +1,9 @@
-// Storage-conformance suite: every behavioral contract of Relation,
-// exercised identically against the row-store and columnar backends.
-// The two backends must be observationally indistinguishable through
-// the public API -- insertion/dedup results, iteration order, lookup
-// row-id sets, old-limit watermark snapshots, erasure semantics, and
-// index-view invalidation. Any divergence that slips past this suite
-// would surface as a cross-engine mismatch in the differential fuzzer,
-// so keep this suite the first, cheapest line of defense.
+// Storage-conformance suite: every behavioral contract of Relation --
+// insertion/dedup results, iteration order, lookup row-id sets,
+// old-limit watermark snapshots, erasure semantics, and index-view
+// invalidation. Any divergence that slips past this suite would surface
+// as a mismatch against the oracle in the differential fuzzer, so keep
+// this suite the first, cheapest line of defense.
 
 #include <span>
 #include <vector>
@@ -20,24 +18,10 @@ Tuple T2(std::int64_t a, std::int64_t b) {
   return {Value::Int(a), Value::Int(b)};
 }
 
-/// Runs each test body under one backend and restores the process-wide
-/// knob afterwards, so test order cannot leak storage modes.
-class RelationConformanceTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    saved_ = ColumnarStorageEnabled();
-    SetColumnarStorage(GetParam());
-  }
-  void TearDown() override { SetColumnarStorage(saved_); }
-
- private:
-  bool saved_ = true;
-};
-
-TEST_P(RelationConformanceTest, BackendMatchesKnob) {
-  Relation rel(2);
-  EXPECT_EQ(rel.columnar(), GetParam());
-}
+/// Parameterized for the suite's one instance, Columnar (below): the
+/// suite once also ran a row-store backend, and the instance keeps its
+/// name so test ids stay stable.
+class RelationConformanceTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(RelationConformanceTest, InsertDeduplicatesAndCounts) {
   Relation rel(2);
@@ -105,7 +89,7 @@ TEST_P(RelationConformanceTest, MultiColumnLookupAgreesWithScan) {
 
 TEST_P(RelationConformanceTest, LookupKeyNeverInsertedAnywhere) {
   // A probe key absent from the whole process (not just this relation)
-  // exercises the columnar backend's unknown-dictionary-id early out.
+  // exercises the dictionary's unknown-id early out.
   Relation rel(2);
   rel.Insert(T2(1, 2));
   EXPECT_TRUE(rel.Lookup(0, Value::Int(123456789)).empty());
@@ -234,9 +218,8 @@ TEST_P(RelationConformanceTest, ZeroArityRelation) {
 }
 
 TEST_P(RelationConformanceTest, IdsRoundTripThroughEitherBackend) {
-  // InsertIds/ContainsIds are advertised as backend-agnostic: feed the
-  // columnar id row of a tuple into a relation of the backend under
-  // test and observe the same set through the Value API.
+  // InsertIds/ContainsIds and the Value API see one set: feed the id row
+  // of a tuple into a relation and observe it through the Value API.
   ValueDictionary& dict = ValueDictionary::Global();
   std::vector<std::uint32_t> ids;
   dict.InternRow(T2(41, 42), &ids);
@@ -255,7 +238,6 @@ TEST_P(RelationConformanceTest, ColumnViewMirrorsRows) {
   Relation rel(2);
   rel.Insert(T2(1, 2));
   rel.Insert(T2(3, 4));
-  if (!rel.columnar()) return;  // the id columns are columnar-only
   ValueDictionary& dict = ValueDictionary::Global();
   for (std::size_t i = 0; i < rel.size(); ++i) {
     for (int c = 0; c < rel.arity(); ++c) {
@@ -369,9 +351,9 @@ TEST_P(RelationConformanceTest, InsertIdRowsDedupsWithinAndAcrossBatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RowAndColumnar, RelationConformanceTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Columnar" : "RowStore";
+                         ::testing::Values(true),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return "Columnar";
                          });
 
 }  // namespace

@@ -1,12 +1,16 @@
-// Differential engine-agreement fuzzing, in the spirit of "Finding
-// Cross-rule Optimization Bugs in Datalog Engines" (Zhang, Wang, Rigger):
-// generate randomly structured positive programs and databases from fixed
-// seeds, run every engine configuration -- naive, semi-naive, SCC-ordered
-// semi-naive, parallel at 1/2/4 threads, and the magic-sets rewrite -- and
-// assert they all tell exactly one story. Any divergence pinpoints the
-// engine and the seed that reproduces it.
+// Differential engine fuzzing, in the spirit of "Finding Cross-rule
+// Optimization Bugs in Datalog Engines" (Zhang, Wang, Rigger): generate
+// randomly structured programs and databases from fixed seeds, run every
+// engine configuration -- naive, semi-naive, SCC-ordered semi-naive,
+// stratified, parallel at 1/2/4 threads, incremental commit scripts, the
+// magic-sets rewrite and the tabled top-down solver, across the ablation
+// knobs (greedy ordering x index lookups x multiway joins) -- and compare
+// each with the deliberately simple reference in tests/oracle.h, a naive
+// nested-loop fixpoint over sets. Any divergence pinpoints the
+// configuration and the seed that reproduces it.
 
 #include <cstdint>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
@@ -14,6 +18,8 @@
 
 #include "datalog.h"
 #include "gtest/gtest.h"
+#include "oracle.h"
+#include "plan_check.h"
 #include "test_util.h"
 #include "workload/cyclic_gen.h"
 #include "workload/graph_gen.h"
@@ -22,28 +28,109 @@
 namespace datalog {
 namespace {
 
+using testing::ExpectPlansMatchOracle;
 using testing::MakeSymbols;
 using testing::ParseProgramOrDie;
 using testing::ParseQueryOrDie;
+using testing::PlanCheckCounts;
 
-/// RAII reset for the full ablation-knob matrix so a failing assertion
-/// cannot leak a disabled knob into other tests.
+/// RAII reset for the ablation-knob matrix so a failing assertion cannot
+/// leak a disabled knob into other tests.
 struct KnobMatrixGuard {
   ~KnobMatrixGuard() {
     SetGreedyJoinOrdering(true);
     SetIndexLookups(true);
-    SetCompiledRulePlans(true);
-    SetColumnarStorage(true);
     SetMultiwayJoins(true);
-    SetBytecodeExecution(true);
   }
 };
+
+/// One point of the knob matrix, applied on construction of the config.
+struct Knobs {
+  bool greedy = true;
+  bool indexed = true;
+  bool multiway = true;
+
+  void Apply() const {
+    SetGreedyJoinOrdering(greedy);
+    SetIndexLookups(indexed);
+    SetMultiwayJoins(multiway);
+  }
+  std::string Name() const {
+    return std::string("greedy=") + (greedy ? "1" : "0") +
+           " index=" + (indexed ? "1" : "0") +
+           " multiway=" + (multiway ? "1" : "0");
+  }
+};
+
+/// The full greedy x index x multiway matrix.
+std::vector<Knobs> KnobMatrix() {
+  std::vector<Knobs> matrix;
+  for (bool greedy : {true, false}) {
+    for (bool indexed : {true, false}) {
+      for (bool multiway : {true, false}) {
+        matrix.push_back(Knobs{greedy, indexed, multiway});
+      }
+    }
+  }
+  return matrix;
+}
+
+/// Replays a seeded random insert/retract script of `batches` commits on a
+/// MaterializedView of `program` over `edb` (facts over `edb_preds`, values
+/// below `value_range`), and expects the view to equal the oracle's
+/// fixpoint of its base after every commit.
+void ExpectCommitScriptMatchesOracle(const Program& program,
+                                     const Database& edb,
+                                     const std::vector<PredicateId>& edb_preds,
+                                     std::int64_t value_range,
+                                     std::uint64_t rng_seed, int batches,
+                                     std::size_t threads,
+                                     const std::string& label) {
+  IncrOptions options;
+  options.num_threads = threads;
+  Result<MaterializedView> view =
+      MaterializedView::Create(program, edb, options);
+  ASSERT_TRUE(view.ok()) << label << ": " << view.status().ToString();
+  ASSERT_EQ(oracle::FactsOf(view->db()), oracle::Evaluate(program, edb))
+      << "initial materialization, " << label;
+
+  std::mt19937_64 rng(rng_seed);
+  for (int batch = 0; batch < batches; ++batch) {
+    Transaction txn = view->Begin();
+    const int num_ops = 1 + static_cast<int>(rng() % 4);
+    for (int op = 0; op < num_ops; ++op) {
+      const PredicateId pred = edb_preds[rng() % edb_preds.size()];
+      const bool insert = rng() % 2 == 0;
+      const auto& rows = view->base().relation(pred).rows();
+      if (!insert && !rows.empty() && rng() % 4 != 0) {
+        // Mostly retract facts that exist so deletions do real work.
+        ASSERT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
+        continue;
+      }
+      const auto range = static_cast<std::uint64_t>(value_range);
+      Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % range)),
+                     Value::Int(static_cast<std::int64_t>(rng() % range))};
+      ASSERT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
+                          : txn.Retract(pred, std::move(tuple)))
+                      .ok());
+    }
+    Result<CommitStats> stats = txn.Commit();
+    ASSERT_TRUE(stats.ok()) << label << " batch " << batch << ": "
+                            << stats.status().ToString();
+    ASSERT_EQ(oracle::FactsOf(view->db()),
+              oracle::Evaluate(program, view->base()))
+        << "incremental view diverges from the oracle, " << label
+        << ", batch " << batch << "\ngot:\n"
+        << view->db().ToString();
+  }
+}
 
 struct GeneratedCase {
   std::shared_ptr<SymbolTable> symbols;
   Program program;
   Database edb;
   std::size_t num_intentional;
+  std::vector<PredicateId> edb_preds;
 
   explicit GeneratedCase(std::shared_ptr<SymbolTable> s)
       : symbols(std::move(s)), edb(symbols) {}
@@ -79,6 +166,7 @@ GeneratedCase MakeCase(std::uint64_t seed) {
     graph.num_edges = 8 + (seed + 3 * i) % 7;
     graph.seed = seed * 31 + i;
     AddGraphFacts(graph, pred, &c.edb);
+    c.edb_preds.push_back(pred);
   }
   return c;
 }
@@ -88,12 +176,7 @@ class DifferentialEngineTest
 
 TEST_P(DifferentialEngineTest, AllEngineConfigurationsAgree) {
   GeneratedCase c = MakeCase(GetParam());
-
-  // Reference: the naive fixpoint, the most direct reading of the
-  // semantics (Section III).
-  Database reference = c.edb;
-  Result<EvalStats> naive = EvaluateNaive(c.program, &reference);
-  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  const oracle::Facts expected = oracle::Evaluate(c.program, c.edb);
 
   struct EngineRun {
     const char* name;
@@ -112,6 +195,7 @@ TEST_P(DifferentialEngineTest, AllEngineConfigurationsAgree) {
     return EvaluateSemiNaiveSccParallel(p, db, 4);
   };
   const EngineRun engines[] = {
+      {"naive", EvaluateNaive},
       {"semi-naive", EvaluateSemiNaive},
       {"scc semi-naive", EvaluateSemiNaiveScc},
       // On positive programs stratified evaluation must coincide with the
@@ -127,18 +211,16 @@ TEST_P(DifferentialEngineTest, AllEngineConfigurationsAgree) {
     Result<EvalStats> stats = engine.run(c.program, &db);
     ASSERT_TRUE(stats.ok())
         << engine.name << ": " << stats.status().ToString();
-    EXPECT_EQ(db, reference) << engine.name << " diverges on seed "
-                             << GetParam() << "\nreference:\n"
-                             << reference.ToString() << "\ngot:\n"
-                             << db.ToString();
+    EXPECT_EQ(oracle::FactsOf(db), expected)
+        << engine.name << " diverges from the oracle on seed " << GetParam()
+        << "\ngot:\n"
+        << db.ToString();
   }
 }
 
 TEST_P(DifferentialEngineTest, MagicSetsRewriteAgreesOnEveryIdbPredicate) {
   GeneratedCase c = MakeCase(GetParam());
-
-  Database reference = c.edb;
-  ASSERT_TRUE(EvaluateSemiNaive(c.program, &reference).ok());
+  oracle::Facts expected = oracle::Evaluate(c.program, c.edb);
 
   for (std::size_t k = 0; k < c.num_intentional; ++k) {
     const std::string name = "i" + std::to_string(k);
@@ -147,21 +229,17 @@ TEST_P(DifferentialEngineTest, MagicSetsRewriteAgreesOnEveryIdbPredicate) {
     Result<std::vector<Tuple>> magic =
         AnswerQuery(c.program, c.edb, query, EvalMethod::kMagicSemiNaive);
     ASSERT_TRUE(magic.ok()) << name << ": " << magic.status().ToString();
-    std::set<Tuple> expected(reference.relation(pred).rows().begin(),
-                             reference.relation(pred).rows().end());
-    EXPECT_EQ(std::set<Tuple>(magic->begin(), magic->end()), expected)
+    EXPECT_EQ(std::set<Tuple>(magic->begin(), magic->end()), expected[pred])
         << "magic sets diverge on " << name << ", seed " << GetParam();
   }
 }
 
 TEST_P(DifferentialEngineTest, TabledTopDownAgreesOnEveryIdbPredicate) {
   // The tabled top-down solver answers an all-free query per IDB
-  // predicate; its answer set must equal that predicate's relation in the
-  // bottom-up fixpoint (completeness AND soundness of the memo tables).
+  // predicate; its answer set must equal that predicate's facts in the
+  // oracle's fixpoint (completeness AND soundness of the memo tables).
   GeneratedCase c = MakeCase(GetParam());
-
-  Database reference = c.edb;
-  ASSERT_TRUE(EvaluateSemiNaive(c.program, &reference).ok());
+  oracle::Facts expected = oracle::Evaluate(c.program, c.edb);
 
   for (std::size_t k = 0; k < c.num_intentional; ++k) {
     const std::string name = "i" + std::to_string(k);
@@ -170,310 +248,126 @@ TEST_P(DifferentialEngineTest, TabledTopDownAgreesOnEveryIdbPredicate) {
     Result<std::vector<Tuple>> answers =
         SolveTopDown(c.program, c.edb, query);
     ASSERT_TRUE(answers.ok()) << name << ": " << answers.status().ToString();
-    std::set<Tuple> expected(reference.relation(pred).rows().begin(),
-                             reference.relation(pred).rows().end());
-    EXPECT_EQ(std::set<Tuple>(answers->begin(), answers->end()), expected)
+    EXPECT_EQ(std::set<Tuple>(answers->begin(), answers->end()),
+              expected[pred])
         << "tabled top-down diverges on " << name << ", seed " << GetParam();
   }
 }
 
 TEST_P(DifferentialEngineTest, IncrementalViewMatchesFromScratchAfterCommits) {
-  // The incremental oracle: drive a MaterializedView through random
-  // insert/retract batches and assert that after every commit the view
-  // equals a from-scratch semi-naive evaluation of the updated base.
+  // Drive a MaterializedView through 20 random insert/retract batches:
+  // after every commit the view equals the oracle's from-scratch fixpoint
+  // of the updated base.
   const std::uint64_t seed = GetParam();
   GeneratedCase c = MakeCase(seed);
-  IncrOptions options;
-  options.num_threads = seed % 2 == 0 ? 1 : 2;  // exercise both paths
-  Result<MaterializedView> view =
-      MaterializedView::Create(c.program, c.edb, options);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  {
-    Database ref = c.edb;
-    ASSERT_TRUE(EvaluateSemiNaive(c.program, &ref).ok());
-    ASSERT_EQ(view->db(), ref) << "initial materialization, seed " << seed;
-  }
-
-  const std::size_t num_extensional = 1 + seed % 3;
-  std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
-  for (int batch = 0; batch < 20; ++batch) {
-    Transaction txn = view->Begin();
-    const int num_ops = 1 + static_cast<int>(rng() % 4);
-    for (int op = 0; op < num_ops; ++op) {
-      PredicateId pred =
-          c.symbols
-              ->LookupPredicate("e" + std::to_string(rng() % num_extensional))
-              .value();
-      const bool insert = rng() % 2 == 0;
-      const auto& rows = view->base().relation(pred).rows();
-      if (!insert && !rows.empty() && rng() % 4 != 0) {
-        // Mostly retract facts that exist so deletions do real work.
-        ASSERT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
-        continue;
-      }
-      Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
-                     Value::Int(static_cast<std::int64_t>(rng() % 12))};
-      ASSERT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                          : txn.Retract(pred, std::move(tuple)))
-                      .ok());
-    }
-    Result<CommitStats> stats = txn.Commit();
-    ASSERT_TRUE(stats.ok())
-        << "seed " << seed << " batch " << batch << ": "
-        << stats.status().ToString();
-
-    Database ref = view->base();
-    ASSERT_TRUE(EvaluateSemiNaive(c.program, &ref).ok());
-    ASSERT_EQ(view->db(), ref)
-        << "incremental view diverges on seed " << seed << ", batch "
-        << batch << "\nreference:\n"
-        << ref.ToString() << "\ngot:\n"
-        << view->db().ToString();
-  }
+  ExpectCommitScriptMatchesOracle(
+      c.program, c.edb, c.edb_preds, /*value_range=*/12,
+      seed * 0x9E3779B97F4A7C15ull + 1, /*batches=*/20,
+      /*threads=*/seed % 2 == 0 ? 1 : 2, "seed " + std::to_string(seed));
 }
 
 TEST_P(DifferentialEngineTest, CompiledPlansAgreeAcrossKnobMatrix) {
-  // The compiled-vs-legacy matcher axis, crossed with the other three
-  // ablation knobs (columnar storage on/off x greedy ordering on/off x
-  // index lookups on/off). Every configuration must reach the identical
-  // fixpoint, and -- because substitutions count complete body matches,
-  // which no join order, access path, or storage backend changes -- the
-  // identical substitutions total, for semi-naive and for the parallel
-  // engine at 4 threads.
+  // Every point of the greedy x index x multiway matrix must reach the
+  // oracle's fixpoint under the sequential, SCC-ordered and parallel
+  // engines. Substitutions count complete body matches, which no join
+  // order, access path or plan shape changes, so within each engine the
+  // count must not move across the matrix either. (The parallel engine's
+  // sharded deltas legitimately count differently from the sequential
+  // one, but identically at any thread count.)
   KnobMatrixGuard guard;
-  GeneratedCase c = MakeCase(GetParam());
+  const std::uint64_t seed = GetParam();
+  GeneratedCase c = MakeCase(seed);
+  const oracle::Facts expected = oracle::Evaluate(c.program, c.edb);
 
-  Database reference = c.edb;
-  Result<EvalStats> ref_stats = EvaluateSemiNaive(c.program, &reference);
-  ASSERT_TRUE(ref_stats.ok()) << ref_stats.status().ToString();
-
-  // The parallel engine's round structure legitimately counts a slightly
-  // different substitutions total than sequential semi-naive (its deltas
-  // are sharded per round), so it gets its own reference; within each
-  // engine the count must be invariant across the whole knob matrix.
-  Database par_reference = c.edb;
-  Result<EvalStats> par_ref_stats =
-      EvaluateSemiNaiveParallel(c.program, &par_reference, 4);
-  ASSERT_TRUE(par_ref_stats.ok()) << par_ref_stats.status().ToString();
-  ASSERT_EQ(par_reference, reference);
-
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    // Regenerate the case under this backend: relations choose their
-    // storage at construction, so a fresh EDB puts every relation --
-    // base facts included -- on the backend under test. The generator
-    // is seed-deterministic, so the facts are identical.
-    GeneratedCase cc = MakeCase(GetParam());
-    for (bool compiled : {true, false}) {
-      for (bool greedy : {true, false}) {
-        for (bool indexed : {true, false}) {
-          SetCompiledRulePlans(compiled);
-          SetGreedyJoinOrdering(greedy);
-          SetIndexLookups(indexed);
-          const std::string config =
-              std::string("columnar=") + (columnar ? "1" : "0") +
-              " compiled=" + (compiled ? "1" : "0") +
-              " greedy=" + (greedy ? "1" : "0") +
-              " index=" + (indexed ? "1" : "0") +
-              " seed=" + std::to_string(GetParam());
-
-          Database seq = cc.edb;
-          Result<EvalStats> seq_stats = EvaluateSemiNaive(cc.program, &seq);
-          ASSERT_TRUE(seq_stats.ok())
-              << config << ": " << seq_stats.status().ToString();
-          EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
-          EXPECT_EQ(seq_stats->match.substitutions,
-                    ref_stats->match.substitutions)
-              << "substitutions drift, " << config;
-
-          Database par = cc.edb;
-          Result<EvalStats> par_stats =
-              EvaluateSemiNaiveParallel(cc.program, &par, 4);
-          ASSERT_TRUE(par_stats.ok())
-              << config << ": " << par_stats.status().ToString();
-          EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
-          EXPECT_EQ(par_stats->match.substitutions,
-                    par_ref_stats->match.substitutions)
-              << "parallel substitutions drift, " << config;
-        }
-      }
+  struct EngineRun {
+    const char* name;
+    std::size_t threads;  // 0: sequential
+    bool scc;
+  };
+  const EngineRun engines[] = {{"semi-naive", 0, false},
+                               {"scc semi-naive", 0, true},
+                               {"parallel x1", 1, false},
+                               {"parallel x2", 2, false},
+                               {"parallel x4", 4, false}};
+  // The first substitution count seen per engine family.
+  std::map<std::string, std::uint64_t> subs;
+  for (const Knobs& knobs : KnobMatrix()) {
+    knobs.Apply();
+    for (const EngineRun& engine : engines) {
+      const std::string config = std::string(engine.name) + " " +
+                                 knobs.Name() + " seed=" +
+                                 std::to_string(seed);
+      Database db = c.edb;
+      Result<EvalStats> stats =
+          engine.threads != 0
+              ? EvaluateSemiNaiveParallel(c.program, &db, engine.threads)
+          : engine.scc ? EvaluateSemiNaiveScc(c.program, &db)
+                       : EvaluateSemiNaive(c.program, &db);
+      ASSERT_TRUE(stats.ok()) << config << ": " << stats.status().ToString();
+      EXPECT_EQ(oracle::FactsOf(db), expected) << "diverges, " << config;
+      const std::string family =
+          engine.threads != 0 ? "parallel" : engine.name;
+      const auto it =
+          subs.try_emplace(family, stats->match.substitutions).first;
+      EXPECT_EQ(stats->match.substitutions, it->second)
+          << "substitutions drift, " << config;
     }
   }
 }
 
 TEST_P(DifferentialEngineTest, BytecodeVmAgreesAcrossKnobMatrix) {
-  // The bytecode-VM axis: flipping SetBytecodeExecution must be invisible
-  // -- not just the same fixpoint but bit-identical MatchStats (the VM
-  // replicates the struct interpreters' counter bumps operation for
-  // operation), across columnar on/off and for both sequential semi-naive
-  // and the parallel engine at 4 threads. On the row store the VM
-  // declines and falls through, so that leg checks the fallback is clean.
+  // Plan by plan: at every point of the knob matrix, every (rule, delta
+  // position) variant over the fixpoint derives exactly the oracle's head
+  // rows and substitutions, and every variant with a bytecode program
+  // derives through the VM -- never through the depth-first fallback.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
+  GeneratedCase c = MakeCase(seed);
+  Database fixpoint = c.edb;
+  ASSERT_TRUE(EvaluateSemiNaive(c.program, &fixpoint).ok());
+  ASSERT_EQ(oracle::FactsOf(fixpoint), oracle::Evaluate(c.program, c.edb));
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    GeneratedCase c = MakeCase(seed);
-
-    struct RunResult {
-      Database db;
-      EvalStats seq;
-      EvalStats par;
-    };
-    auto run_both = [&](bool bytecode) {
-      SetBytecodeExecution(bytecode);
-      Database seq_db = c.edb;
-      Result<EvalStats> seq = EvaluateSemiNaive(c.program, &seq_db);
-      EXPECT_TRUE(seq.ok()) << seq.status().ToString();
-      Database par_db = c.edb;
-      Result<EvalStats> par =
-          EvaluateSemiNaiveParallel(c.program, &par_db, 4);
-      EXPECT_TRUE(par.ok()) << par.status().ToString();
-      EXPECT_EQ(par_db, seq_db);
-      return RunResult{std::move(seq_db), *seq, *par};
-    };
-
-    RunResult vm = run_both(true);
-    RunResult structs = run_both(false);
-    const std::string config = std::string("columnar=") +
-                               (columnar ? "1" : "0") +
-                               " seed=" + std::to_string(seed);
-    EXPECT_EQ(vm.db, structs.db) << "bytecode fixpoint diverges, " << config;
-    EXPECT_EQ(vm.seq.match.substitutions, structs.seq.match.substitutions)
-        << config;
-    EXPECT_EQ(vm.seq.match.index_lookups, structs.seq.match.index_lookups)
-        << config;
-    EXPECT_EQ(vm.seq.match.tuples_scanned, structs.seq.match.tuples_scanned)
-        << config;
-    EXPECT_EQ(vm.par.match.substitutions, structs.par.match.substitutions)
-        << "parallel, " << config;
-    EXPECT_EQ(vm.par.match.index_lookups, structs.par.match.index_lookups)
-        << "parallel, " << config;
-    EXPECT_EQ(vm.par.match.tuples_scanned, structs.par.match.tuples_scanned)
-        << "parallel, " << config;
+  for (const Knobs& knobs : KnobMatrix()) {
+    knobs.Apply();
+    const PlanCheckCounts counts = ExpectPlansMatchOracle(
+        c.program.rules(), fixpoint,
+        knobs.Name() + " seed=" + std::to_string(seed));
+    // Planted programs have no empty bodies and no unbound head
+    // variables, so every plan lowers.
+    EXPECT_EQ(counts.on_vm, counts.plans) << knobs.Name();
+    EXPECT_GT(counts.plans, 0u);
   }
 }
 
 TEST_P(DifferentialEngineTest, BytecodeVmAgreesOnIncrementalCommits) {
-  // The incremental commit path (three-part delta joins through the
-  // CompiledRuleCache) with the VM on vs off over the same transaction
-  // script: every snapshot must be identical.
-  KnobMatrixGuard guard;
+  // The incremental commit path (three-part delta joins, DRed and the
+  // plan cache's delta passes, all deriving through the VM) at 1, 2 and
+  // 4 threads: the view equals the oracle after every commit.
   const std::uint64_t seed = GetParam();
-
-  auto run_script = [&](bool bytecode) {
-    SetBytecodeExecution(bytecode);
-    GeneratedCase c = MakeCase(seed);
-    IncrOptions options;
-    options.num_threads = seed % 2 == 0 ? 1 : 2;
-    Result<MaterializedView> view =
-        MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    const std::size_t num_extensional = 1 + seed % 3;
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 29);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate("e" +
-                                  std::to_string(rng() % num_extensional))
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 12))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    return snapshots;
-  };
-
-  const std::vector<Database> vm = run_script(true);
-  const std::vector<Database> structs = run_script(false);
-  ASSERT_EQ(vm.size(), structs.size());
-  for (std::size_t i = 0; i < vm.size(); ++i) {
-    EXPECT_EQ(vm[i], structs[i])
-        << "bytecode incremental commit path diverges on seed " << seed
-        << ", batch " << i;
+  GeneratedCase c = MakeCase(seed);
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    ExpectCommitScriptMatchesOracle(
+        c.program, c.edb, c.edb_preds, /*value_range=*/12,
+        seed * 0x9E3779B97F4A7C15ull + 29, /*batches=*/8, threads,
+        "threads=" + std::to_string(threads) +
+            " seed=" + std::to_string(seed));
   }
 }
 
 TEST_P(DifferentialEngineTest, CompiledPlansAgreeOnIncrementalCommits) {
-  // The incremental commit path (delta joins + DRed re-derivation) run
-  // over the same transaction script under every (matcher, storage
-  // backend) combination; the view must be identical after every commit.
+  // The same commit path under every greedy x index combination.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
-
-  auto run_script = [&](bool compiled, bool columnar) {
-    SetCompiledRulePlans(compiled);
-    SetColumnarStorage(columnar);
-    GeneratedCase c = MakeCase(seed);
-    IncrOptions options;
-    options.num_threads = seed % 2 == 0 ? 1 : 2;
-    Result<MaterializedView> view =
-        MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    const std::size_t num_extensional = 1 + seed % 3;
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 7);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate("e" +
-                                  std::to_string(rng() % num_extensional))
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 12)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 12))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    return snapshots;
-  };
-
-  const std::vector<Database> reference = run_script(true, true);
-  const struct {
-    bool compiled;
-    bool columnar;
-    const char* name;
-  } variants[] = {{false, true, "legacy/columnar"},
-                  {true, false, "compiled/rowstore"},
-                  {false, false, "legacy/rowstore"}};
-  for (const auto& v : variants) {
-    std::vector<Database> got = run_script(v.compiled, v.columnar);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], reference[i])
-          << "incremental commit path (" << v.name << ") diverges on seed "
-          << seed << ", batch " << i;
+  GeneratedCase c = MakeCase(seed);
+  for (bool greedy : {true, false}) {
+    for (bool indexed : {true, false}) {
+      const Knobs knobs{greedy, indexed, true};
+      knobs.Apply();
+      ExpectCommitScriptMatchesOracle(
+          c.program, c.edb, c.edb_preds, /*value_range=*/12,
+          seed * 0x9E3779B97F4A7C15ull + 7, /*batches=*/8,
+          /*threads=*/seed % 2 == 0 ? 1 : 2,
+          knobs.Name() + " seed=" + std::to_string(seed));
     }
   }
 }
@@ -487,20 +381,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialEngineTest,
 // The cyclic generator produces exactly the bodies (triangles, k-cycles,
 // cliques, dense same-generation) where the planner selects the
 // worst-case-optimal multiway shape, so these cases exercise the
-// multiway executor on every seed instead of relying on the planted
-// generator to stumble into a cyclic body. Every knob combination --
-// multiway x left-deep x columnar x {sequential, parallel x4,
-// incremental commit scripts} -- must reach bit-identical fixpoints and
-// (within an engine) identical substitution counts.
+// multiway programs on every seed instead of relying on the planted
+// generator to stumble into a cyclic body. Both plan shapes under
+// {sequential, parallel x4, incremental commit scripts} must reach the
+// oracle's fixpoint, and (within an engine) identical substitution
+// counts.
 // ---------------------------------------------------------------------------
 
 struct CyclicCase {
   std::shared_ptr<SymbolTable> symbols;
   Program program;
   Database edb;
-  /// EDB predicate names for transaction scripts ("e", or the three
-  /// tree predicates for kDenseSameGen).
-  std::vector<std::string> edb_preds;
+  /// EDB predicates for transaction scripts (e, or the three tree
+  /// predicates for kDenseSameGen).
+  std::vector<PredicateId> edb_preds;
 
   explicit CyclicCase(std::shared_ptr<SymbolTable> s)
       : symbols(std::move(s)), edb(symbols) {}
@@ -531,10 +425,11 @@ CyclicCase MakeCyclicCase(std::uint64_t seed) {
     PredicateId down = c.symbols->LookupPredicate("down").value();
     PredicateId flat = c.symbols->LookupPredicate("flat").value();
     AddDenseSameGenFacts(options, up, down, flat, &c.edb);
-    c.edb_preds = {"up", "down", "flat"};
+    c.edb_preds = {up, down, flat};
   } else {
-    AddCyclicFacts(options, c.symbols->LookupPredicate("e").value(), &c.edb);
-    c.edb_preds = {"e"};
+    PredicateId e = c.symbols->LookupPredicate("e").value();
+    AddCyclicFacts(options, e, &c.edb);
+    c.edb_preds = {e};
   }
   return c;
 }
@@ -543,248 +438,107 @@ class DifferentialEngineMultiwayTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DifferentialEngineMultiwayTest, MultiwayAndLeftDeepShapesAgree) {
-  // Fixpoint + substitutions agreement across multiway on/off x columnar
-  // on/off, for sequential semi-naive and the parallel engine at 4
-  // threads. Substitutions count complete body matches, which no plan
-  // shape changes, so they must be bit-identical within each engine.
+  // Multiway on/off, for sequential semi-naive and the parallel engine at
+  // 4 threads: the oracle's fixpoint, and within each engine the same
+  // substitutions under either shape.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
+  CyclicCase c = MakeCyclicCase(seed);
+  const oracle::Facts expected = oracle::Evaluate(c.program, c.edb);
 
-  // Reference: the left-deep shape (multiway off) on the default
-  // columnar backend.
-  SetMultiwayJoins(false);
-  CyclicCase ref_case = MakeCyclicCase(seed);
-  Database reference = ref_case.edb;
-  Result<EvalStats> ref_stats =
-      EvaluateSemiNaive(ref_case.program, &reference);
-  ASSERT_TRUE(ref_stats.ok()) << ref_stats.status().ToString();
+  std::uint64_t seq_subs = 0, par_subs = 0;
+  for (bool multiway : {true, false}) {
+    SetMultiwayJoins(multiway);
+    const std::string config = std::string("multiway=") +
+                               (multiway ? "1" : "0") +
+                               " seed=" + std::to_string(seed);
 
-  Database par_reference = ref_case.edb;
-  Result<EvalStats> par_ref_stats =
-      EvaluateSemiNaiveParallel(ref_case.program, &par_reference, 4);
-  ASSERT_TRUE(par_ref_stats.ok()) << par_ref_stats.status().ToString();
-  ASSERT_EQ(par_reference, reference);
+    Database seq = c.edb;
+    Result<EvalStats> seq_stats = EvaluateSemiNaive(c.program, &seq);
+    ASSERT_TRUE(seq_stats.ok())
+        << config << ": " << seq_stats.status().ToString();
+    EXPECT_EQ(oracle::FactsOf(seq), expected)
+        << "semi-naive diverges, " << config;
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    // Regenerate under this backend: relations choose their storage at
-    // construction, and the generator is seed-deterministic.
-    CyclicCase c = MakeCyclicCase(seed);
-    for (bool multiway : {true, false}) {
-      SetMultiwayJoins(multiway);
-      const std::string config =
-          std::string("multiway=") + (multiway ? "1" : "0") +
-          " columnar=" + (columnar ? "1" : "0") +
-          " seed=" + std::to_string(seed);
+    Database par = c.edb;
+    Result<EvalStats> par_stats =
+        EvaluateSemiNaiveParallel(c.program, &par, 4);
+    ASSERT_TRUE(par_stats.ok())
+        << config << ": " << par_stats.status().ToString();
+    EXPECT_EQ(oracle::FactsOf(par), expected)
+        << "parallel x4 diverges, " << config;
 
-      Database seq = c.edb;
-      Result<EvalStats> seq_stats = EvaluateSemiNaive(c.program, &seq);
-      ASSERT_TRUE(seq_stats.ok())
-          << config << ": " << seq_stats.status().ToString();
-      EXPECT_EQ(seq, reference) << "semi-naive diverges, " << config;
-      EXPECT_EQ(seq_stats->match.substitutions,
-                ref_stats->match.substitutions)
+    if (multiway) {
+      seq_subs = seq_stats->match.substitutions;
+      par_subs = par_stats->match.substitutions;
+    } else {
+      EXPECT_EQ(seq_stats->match.substitutions, seq_subs)
           << "substitutions drift, " << config;
-
-      Database par = c.edb;
-      Result<EvalStats> par_stats =
-          EvaluateSemiNaiveParallel(c.program, &par, 4);
-      ASSERT_TRUE(par_stats.ok())
-          << config << ": " << par_stats.status().ToString();
-      EXPECT_EQ(par, reference) << "parallel x4 diverges, " << config;
-      EXPECT_EQ(par_stats->match.substitutions,
-                par_ref_stats->match.substitutions)
+      EXPECT_EQ(par_stats->match.substitutions, par_subs)
           << "parallel substitutions drift, " << config;
     }
   }
 }
 
 TEST_P(DifferentialEngineMultiwayTest, MultiwayIncrementalCommitScriptsAgree) {
-  // The incremental commit path over a cyclic program: the same random
-  // insert/retract script replayed under every (multiway, storage)
-  // combination must produce identical view snapshots after every
-  // commit, and each final view must equal a from-scratch fixpoint of
-  // its final base (so all variants cannot agree on a wrong answer).
+  // The incremental commit path over a cyclic program under either plan
+  // shape: the view equals the oracle after every commit.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
-
-  auto run_script = [&](bool multiway, bool columnar) {
+  CyclicCase c = MakeCyclicCase(seed);
+  for (bool multiway : {true, false}) {
     SetMultiwayJoins(multiway);
-    SetColumnarStorage(columnar);
-    CyclicCase c = MakeCyclicCase(seed);
-    IncrOptions options;
-    options.num_threads = seed % 2 == 0 ? 1 : 4;
-    Result<MaterializedView> view =
-        MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 13);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate(c.edb_preds[rng() % c.edb_preds.size()])
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 16))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    Database ref = view->base();
-    EXPECT_TRUE(EvaluateSemiNaive(c.program, &ref).ok());
-    EXPECT_EQ(view->db(), ref)
-        << "incremental view diverges from from-scratch oracle, multiway="
-        << multiway << " columnar=" << columnar << " seed=" << seed;
-    return snapshots;
-  };
-
-  const std::vector<Database> reference = run_script(false, true);
-  const struct {
-    bool multiway;
-    bool columnar;
-    const char* name;
-  } variants[] = {{true, true, "multiway/columnar"},
-                  {true, false, "multiway/rowstore"},
-                  {false, false, "left-deep/rowstore"}};
-  for (const auto& v : variants) {
-    std::vector<Database> got = run_script(v.multiway, v.columnar);
-    ASSERT_EQ(got.size(), reference.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], reference[i])
-          << "incremental commit path (" << v.name << ") diverges on seed "
-          << seed << ", batch " << i;
-    }
+    ExpectCommitScriptMatchesOracle(
+        c.program, c.edb, c.edb_preds, /*value_range=*/16,
+        seed * 0x9E3779B97F4A7C15ull + 13, /*batches=*/8,
+        /*threads=*/seed % 2 == 0 ? 1 : 4,
+        std::string("multiway=") + (multiway ? "1" : "0") +
+            " seed=" + std::to_string(seed));
   }
 }
 
 TEST_P(DifferentialEngineMultiwayTest, BytecodeVmAgreesAcrossPlanShapes) {
-  // The bytecode axis crossed with plan shape: the VM lowers both the
-  // left-deep batch schedule and the leapfrog multiway schedule, and on
-  // each it must be invisible -- same fixpoint, bit-identical MatchStats
-  // -- against the struct interpreter under the same knobs, sequentially
-  // and at 4 threads, on both storage backends.
+  // Plan by plan under either shape: the VM's left-deep and multiway
+  // programs derive exactly the oracle's head rows and substitutions, and
+  // never fall back to the depth-first path.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
+  CyclicCase c = MakeCyclicCase(seed);
+  Database fixpoint = c.edb;
+  ASSERT_TRUE(EvaluateSemiNaive(c.program, &fixpoint).ok());
+  ASSERT_EQ(oracle::FactsOf(fixpoint), oracle::Evaluate(c.program, c.edb));
 
-  for (bool columnar : {true, false}) {
-    SetColumnarStorage(columnar);
-    CyclicCase c = MakeCyclicCase(seed);
-    for (bool multiway : {true, false}) {
-      SetMultiwayJoins(multiway);
-
-      struct RunResult {
-        Database db;
-        EvalStats seq;
-        EvalStats par;
-      };
-      auto run_both = [&](bool bytecode) {
-        SetBytecodeExecution(bytecode);
-        Database seq_db = c.edb;
-        Result<EvalStats> seq = EvaluateSemiNaive(c.program, &seq_db);
-        EXPECT_TRUE(seq.ok()) << seq.status().ToString();
-        Database par_db = c.edb;
-        Result<EvalStats> par =
-            EvaluateSemiNaiveParallel(c.program, &par_db, 4);
-        EXPECT_TRUE(par.ok()) << par.status().ToString();
-        EXPECT_EQ(par_db, seq_db);
-        return RunResult{std::move(seq_db), *seq, *par};
-      };
-
-      RunResult vm = run_both(true);
-      RunResult structs = run_both(false);
-      const std::string config =
-          std::string("multiway=") + (multiway ? "1" : "0") +
-          " columnar=" + (columnar ? "1" : "0") +
-          " seed=" + std::to_string(seed);
-      EXPECT_EQ(vm.db, structs.db)
-          << "bytecode fixpoint diverges, " << config;
-      EXPECT_EQ(vm.seq.match.substitutions, structs.seq.match.substitutions)
-          << config;
-      EXPECT_EQ(vm.seq.match.index_lookups, structs.seq.match.index_lookups)
-          << config;
-      EXPECT_EQ(vm.seq.match.tuples_scanned,
-                structs.seq.match.tuples_scanned)
-          << config;
-      EXPECT_EQ(vm.par.match.substitutions, structs.par.match.substitutions)
-          << "parallel, " << config;
-      EXPECT_EQ(vm.par.match.index_lookups, structs.par.match.index_lookups)
-          << "parallel, " << config;
-      EXPECT_EQ(vm.par.match.tuples_scanned,
-                structs.par.match.tuples_scanned)
-          << "parallel, " << config;
+  for (bool multiway : {true, false}) {
+    SetMultiwayJoins(multiway);
+    const PlanCheckCounts counts = ExpectPlansMatchOracle(
+        c.program.rules(), fixpoint,
+        std::string("multiway=") + (multiway ? "1" : "0") +
+            " seed=" + std::to_string(seed));
+    EXPECT_EQ(counts.on_vm, counts.plans);
+    if (multiway) {
+      EXPECT_GT(counts.multiway, 0u) << "no multiway plan, seed " << seed;
+    } else {
+      EXPECT_EQ(counts.multiway, 0u);
     }
   }
 }
 
 TEST_P(DifferentialEngineMultiwayTest,
        BytecodeIncrementalCommitScriptsAgree) {
-  // The same random commit script replayed with the VM on vs off, under
-  // both plan shapes: identical snapshots after every commit.
+  // The commit path with the VM running scan programs (index lookups off)
+  // as well as probe and multiway programs (on): the view equals the
+  // oracle after every commit.
   KnobMatrixGuard guard;
   const std::uint64_t seed = GetParam();
-
-  auto run_script = [&](bool bytecode, bool multiway) {
-    SetBytecodeExecution(bytecode);
-    SetMultiwayJoins(multiway);
-    CyclicCase c = MakeCyclicCase(seed);
-    IncrOptions options;
-    options.num_threads = seed % 2 == 0 ? 1 : 4;
-    Result<MaterializedView> view =
-        MaterializedView::Create(c.program, c.edb, options);
-    EXPECT_TRUE(view.ok()) << view.status().ToString();
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 31);
-    std::vector<Database> snapshots;
-    for (int batch = 0; batch < 8; ++batch) {
-      Transaction txn = view->Begin();
-      const int num_ops = 1 + static_cast<int>(rng() % 4);
-      for (int op = 0; op < num_ops; ++op) {
-        PredicateId pred =
-            c.symbols
-                ->LookupPredicate(c.edb_preds[rng() % c.edb_preds.size()])
-                .value();
-        const bool insert = rng() % 2 == 0;
-        const auto& rows = view->base().relation(pred).rows();
-        if (!insert && !rows.empty() && rng() % 4 != 0) {
-          EXPECT_TRUE(txn.Retract(pred, rows[rng() % rows.size()]).ok());
-          continue;
-        }
-        Tuple tuple = {Value::Int(static_cast<std::int64_t>(rng() % 16)),
-                       Value::Int(static_cast<std::int64_t>(rng() % 16))};
-        EXPECT_TRUE((insert ? txn.Insert(pred, std::move(tuple))
-                            : txn.Retract(pred, std::move(tuple)))
-                        .ok());
-      }
-      Result<CommitStats> stats = txn.Commit();
-      EXPECT_TRUE(stats.ok()) << "seed " << seed << " batch " << batch
-                              << ": " << stats.status().ToString();
-      snapshots.push_back(view->db());
-    }
-    return snapshots;
-  };
-
-  for (bool multiway : {true, false}) {
-    const std::vector<Database> vm = run_script(true, multiway);
-    const std::vector<Database> structs = run_script(false, multiway);
-    ASSERT_EQ(vm.size(), structs.size());
-    for (std::size_t i = 0; i < vm.size(); ++i) {
-      EXPECT_EQ(vm[i], structs[i])
-          << "bytecode incremental commit path diverges on seed " << seed
-          << ", multiway=" << multiway << ", batch " << i;
-    }
+  CyclicCase c = MakeCyclicCase(seed);
+  for (bool indexed : {true, false}) {
+    SetIndexLookups(indexed);
+    ExpectCommitScriptMatchesOracle(
+        c.program, c.edb, c.edb_preds, /*value_range=*/16,
+        seed * 0x9E3779B97F4A7C15ull + 31, /*batches=*/8,
+        /*threads=*/seed % 2 == 0 ? 1 : 4,
+        std::string("index=") + (indexed ? "1" : "0") +
+            " seed=" + std::to_string(seed));
   }
 }
 

@@ -2,11 +2,10 @@
 # Sanitizer check harness. Builds the library and tests under
 # ThreadSanitizer and runs the evaluation-engine suites (the ones that
 # exercise the parallel evaluator's frozen-snapshot contract; eval_test
-# includes the storage-conformance suite that runs every relation
-# invariant against both the columnar and row-store backends, and
-# integration_test includes the differential fuzzer whose knob matrix
-# crosses multiway x left-deep x columnar x compiled x bytecode x
-# {sequential, parallel, incremental}),
+# includes the relation storage-conformance suite and the VM's
+# plan-by-plan oracle checks, and integration_test includes the
+# differential fuzzer, which compares greedy x index x multiway x
+# {sequential, parallel, incremental} with the test-only oracle),
 # then repeats the incremental-maintenance fuzzer under ASan+UBSan. Also
 # smoke-tests the observability layer: the CLI's --trace/--metrics
 # output must be valid JSON, runs a deterministic work-counter
@@ -151,11 +150,7 @@ i1(v0_4, v3_5) :- i0(v0_4, v1_6), e1(v1_6, v2_7), e0(v2_7, v3_5),
                   e1(v1_6, w_8), e1(v1_6, w_8).
 DLEOF
 
-  # Each case runs twice: once on the default bytecode VM and once with
-  # --no-bytecode (the struct interpreter), as `<case>` and
-  # `<case>_struct` rows. The two executors promise identical counters,
-  # so the paired rows also pin that parity in CI.
-  local case_name row_name flag
+  local case_name
   local -a run
   : > "${tmp}/measured.txt"
   for case_name in tc sg sel tri min; do
@@ -164,18 +159,15 @@ DLEOF
     else
       run=(eval "${tmp}/${case_name}.dl" "${tmp}/${case_name}_facts.dl")
     fi
-    for flag in "" "--no-bytecode"; do
-      row_name="${case_name}${flag:+_struct}"
-      # minimize narrates its deletions on stderr; show it only on failure.
-      # shellcheck disable=SC2086
-      if ! "${build_dir}/tools/datalog-opt" "${run[0]}" ${flag} \
-          "${run[@]:1}" --metrics="${tmp}/${row_name}_m.json" \
-          > /dev/null 2> "${tmp}/stderr"; then
-        cat "${tmp}/stderr" >&2
-        return 1
-      fi
-      python3 - "${row_name}" "${tmp}/${row_name}_m.json" \
-        >> "${tmp}/measured.txt" <<'PYEOF'
+    # minimize narrates its deletions on stderr; show it only on failure.
+    if ! "${build_dir}/tools/datalog-opt" "${run[@]}" \
+        --metrics="${tmp}/${case_name}_m.json" \
+        > /dev/null 2> "${tmp}/stderr"; then
+      cat "${tmp}/stderr" >&2
+      return 1
+    fi
+    python3 - "${case_name}" "${tmp}/${case_name}_m.json" \
+      >> "${tmp}/measured.txt" <<'PYEOF'
 import json, sys
 name, path = sys.argv[1], sys.argv[2]
 counters = {"eval.tuples_scanned": 0, "eval.index_lookups": 0,
@@ -189,7 +181,6 @@ print(name, counters["eval.tuples_scanned"], counters["eval.index_lookups"],
       counters["eval.dedup_probes"], counters["eval.plans_compiled"],
       counters["eval.substitutions"])
 PYEOF
-    done
   done
 
   python3 - "${ROOT}/tools/work_counters.baseline" "${tmp}/measured.txt" <<'PYEOF'
@@ -293,11 +284,9 @@ if [ "${SANITIZE}" = "thread" ] && [ "${DATALOG_CHECK_INCR_ASAN:-1}" = "1" ]; th
   cd "${build_dir}"
   ./tests/incr_test
   # *Multiway* adds the worst-case-optimal join matrix (cyclic bodies,
-  # multiway x left-deep x columnar) to the ASan pass; its id-space
-  # scratch buffers and sorted-key caches churn on every replan.
-  # *Bytecode* adds the VM differential matrix plus the validator fuzzer
-  # (BytecodeFuzzTest), whose whole point is running hostile instruction
-  # streams and mutated encodings under ASan/UBSan.
+  # multiway x left-deep) to the ASan pass; its id-space scratch buffers
+  # and sorted-key caches churn on every replan. *Bytecode* adds the VM's
+  # plan-by-plan oracle checks, which run every lowered program shape.
   ./tests/integration_test --gtest_filter='*Incremental*:*Multiway*:*Bytecode*'
   ./tests/eval_test --gtest_filter='*Multiway*:*Hypergraph*:*Bytecode*'
   cd "${ROOT}"
