@@ -83,7 +83,8 @@ void CompiledRule::BuildSchedules(const Database& full,
     step.planned_size =
         PlanningSize(planned.source, atom.predicate(), full, delta);
 
-    std::unordered_set<VariableId> written_here;
+    // Each free variable's first column in this atom.
+    std::unordered_map<VariableId, int> written_here;
     for (int i = 0; i < atom.arity(); ++i) {
       const Term& t = atom.args()[static_cast<std::size_t>(i)];
       if (t.is_constant()) {
@@ -100,26 +101,18 @@ void CompiledRule::BuildSchedules(const Database& full,
         step.key_template_ids.push_back(ValueDictionary::kInvalidId);
         step.key_fill.push_back(CompiledAtomStep::KeyFill{
             static_cast<int>(step.key_template.size()) - 1, slot_for(v)});
-      } else if (written_here.insert(v).second) {
+      } else if (auto [it, first] = written_here.emplace(v, i); first) {
         step.writes.push_back(CompiledAtomStep::SlotRef{i, slot_for(v)});
       } else {
-        step.checks.push_back(CompiledAtomStep::SlotRef{i, slot_for(v)});
+        // A repeat of a variable this same step writes (that is what
+        // made it a check instead of a key position), so the check is
+        // row-local: the two raw columns of the candidate row must hold
+        // the same id.
+        step.id_checks.emplace_back(it->second, i);
       }
     }
     for (const Term& t : atom.args()) {
       if (t.is_variable()) bound_before.insert(t.var());
-    }
-    // Lower each repeated-variable check to a row-local column pair: the
-    // checked slot is always written by this same step (that is what
-    // made it a check instead of a key position), so the VM can compare
-    // the two raw columns of the candidate row directly.
-    for (const CompiledAtomStep::SlotRef& c : step.checks) {
-      for (const CompiledAtomStep::SlotRef& w : step.writes) {
-        if (w.slot == c.slot) {
-          step.id_checks.emplace_back(w.col, c.col);
-          break;
-        }
-      }
     }
     steps_.push_back(std::move(step));
   }

@@ -25,8 +25,8 @@ class CompiledRule;
 ///     the frame per probe (`key_fill`),
 ///   - the first occurrence of a free variable writes its frame slot
 ///     (`writes`),
-///   - repeated occurrences within the same atom compare against the
-///     slot written moments earlier (`checks`).
+///   - repeated occurrences within the same atom must hold the same id
+///     as the first occurrence's column of the same row (`id_checks`).
 /// The enumeration loop therefore does no per-row classification, no
 /// hash-map binding churn, and no per-probe key allocation. The bytecode
 /// lowering (eval/bytecode/lower.cc) reads the same schedules.
@@ -37,7 +37,7 @@ struct CompiledAtomStep {
   };
   struct SlotRef {
     int col;   // column of the matched row
-    int slot;  // frame slot written (writes) or compared (checks)
+    int slot;  // frame slot written
   };
 
   PredicateId predicate = 0;
@@ -47,18 +47,17 @@ struct CompiledAtomStep {
   Tuple key_template;         // constants filled, bound positions patched
   std::vector<KeyFill> key_fill;
   std::vector<SlotRef> writes;
-  std::vector<SlotRef> checks;
+  // Each repeated-variable check as a row-local column pair
+  // (first-occurrence column, repeat column), compared directly on the
+  // raw id columns by both executors.
+  std::vector<std::pair<int, int>> id_checks;
   std::size_t planned_size = 0;  // PlanningSize at plan time
 
-  // Id-space mirrors of the schedules above, precomputed at compile time
-  // so the bytecode VM never touches a Value: `key_template_ids` is
-  // `key_template` with constants interned to dictionary ids (patched
-  // positions hold kInvalidId until key_fill overwrites them per probe),
-  // and `id_checks` lowers each repeated-variable check to a row-local
-  // column pair (first-occurrence column, repeat column) compared
-  // directly on the raw id arrays.
+  // Id-space mirror of `key_template`, precomputed at compile time so
+  // the bytecode VM never touches a Value: constants interned to
+  // dictionary ids (patched positions hold kInvalidId until key_fill
+  // overwrites them per probe).
   std::vector<std::uint32_t> key_template_ids;
-  std::vector<std::pair<int, int>> id_checks;
 };
 
 /// One (variable, atom) probe of the multiway plan shape: how to compute
@@ -356,16 +355,19 @@ class CompiledRule {
       return true;
     }
 
-    auto try_row = [&](const Tuple& row) -> bool {
-      for (const CompiledAtomStep::SlotRef& w : step.writes) {
-        frame.slots[static_cast<std::size_t>(w.slot)] =
-            row[static_cast<std::size_t>(w.col)];
-      }
-      for (const CompiledAtomStep::SlotRef& c : step.checks) {
-        if (frame.slots[static_cast<std::size_t>(c.slot)] !=
-            row[static_cast<std::size_t>(c.col)]) {
+    // Reads row `i` straight from the id columns: the repeated-variable
+    // checks compare ids row-locally (id_checks), and only the slots the
+    // step writes are resolved to Values.
+    const ValueDictionary& dict = ValueDictionary::Global();
+    auto try_row = [&](std::size_t i) -> bool {
+      for (const auto& [first, repeat] : step.id_checks) {
+        if (rel.column(first)[i] != rel.column(repeat)[i]) {
           return true;  // repeated variable mismatch; keep enumerating
         }
+      }
+      for (const CompiledAtomStep::SlotRef& w : step.writes) {
+        frame.slots[static_cast<std::size_t>(w.slot)] =
+            dict.Resolve(rel.column(w.col)[i]);
       }
       return Step(depth + 1, frame, stats, sink);
     };
@@ -373,23 +375,22 @@ class CompiledRule {
     if (step.key_cols.empty()) {
       for (std::size_t i = ds.begin; i < ds.end; ++i) {
         if (stats != nullptr) ++stats->tuples_scanned;
-        if (!try_row(rel.row(i))) return false;
+        if (!try_row(i)) return false;
       }
       return true;
     }
 
     if (!use_index_) {
       for (std::size_t i = ds.begin; i < ds.end; ++i) {
-        const Tuple& row = rel.row(i);
         if (stats != nullptr) ++stats->tuples_scanned;
         bool matches = true;
         for (std::size_t k = 0; k < step.key_cols.size(); ++k) {
-          if (row[static_cast<std::size_t>(step.key_cols[k])] != key[k]) {
+          if (dict.Resolve(rel.column(step.key_cols[k])[i]) != key[k]) {
             matches = false;
             break;
           }
         }
-        if (matches && !try_row(row)) return false;
+        if (matches && !try_row(i)) return false;
       }
       return true;
     }
@@ -400,7 +401,7 @@ class CompiledRule {
     for (std::uint32_t row_id :
          Relation::RowsInRange(postings, ds.begin, ds.end)) {
       if (stats != nullptr) ++stats->tuples_scanned;
-      if (!try_row(rel.row(row_id))) return false;
+      if (!try_row(row_id)) return false;
     }
     return true;
   }

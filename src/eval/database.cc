@@ -92,8 +92,10 @@ std::size_t Database::UnionWith(const Database& other) {
 
 bool Database::IsSubsetOf(const Database& other) const {
   for (const auto& [pred, rel] : relations_) {
-    for (const Tuple& row : rel.rows()) {
-      if (!other.Contains(pred, row)) return false;
+    if (rel.empty()) continue;
+    const Relation& theirs = other.relation(pred);
+    for (std::size_t i = 0; i < rel.size(); ++i) {
+      if (!theirs.ContainsRowOf(rel, i)) return false;
     }
   }
   return true;

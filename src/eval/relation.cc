@@ -89,23 +89,20 @@ void Relation::RowIdTable::Rebuild(const Columns& columns,
 
 bool Relation::InsertIdRow(const std::uint32_t* ids, std::uint64_t hash) {
   if (!id_table_.InsertOrFind(columns_, ids, hash,
-                              static_cast<std::uint32_t>(rows_.size()))) {
+                              static_cast<std::uint32_t>(num_rows_))) {
     return false;
   }
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].push_back(ids[c]);
   }
+  ++num_rows_;
   return true;
 }
 
 bool Relation::Insert(Tuple tuple) {
   std::vector<std::uint32_t>& ids = IdScratch();
   ValueDictionary::Global().InternRow(tuple, &ids);
-  if (!InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()))) {
-    return false;
-  }
-  rows_.push_back(std::move(tuple));
-  return true;
+  return InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()));
 }
 
 bool Relation::InsertIds(const std::vector<std::uint32_t>& ids) {
@@ -115,7 +112,6 @@ bool Relation::InsertIds(const std::vector<std::uint32_t>& ids) {
 std::size_t Relation::InsertIdRows(const std::vector<std::uint32_t>& ids,
                                    std::size_t count) {
   const std::size_t arity = static_cast<std::size_t>(arity_);
-  ValueDictionary& dict = ValueDictionary::Global();
   std::size_t added = 0;
   // Software-pipelined: row r + kAhead is hashed and its slot prefetched
   // while row r is probed.
@@ -131,17 +127,7 @@ std::size_t Relation::InsertIdRows(const std::vector<std::uint32_t>& ids,
   for (std::size_t r = 0; r < count; ++r) {
     const std::uint64_t hash = hashes[r % kAhead];
     if (r + kAhead < count) hash_ahead(r + kAhead);
-    const std::uint32_t* row = ids.data() + r * arity;
-    if (!InsertIdRow(row, hash)) continue;
-    // The Tuple row view is resolved from the dictionary only for rows
-    // that are genuinely new -- duplicates never touch a Value.
-    Tuple tuple;
-    tuple.reserve(arity);
-    for (std::size_t c = 0; c < arity; ++c) {
-      tuple.push_back(dict.Resolve(row[c]));
-    }
-    rows_.push_back(std::move(tuple));
-    ++added;
+    if (InsertIdRow(ids.data() + r * arity, hash)) ++added;
   }
   return added;
 }
@@ -151,10 +137,7 @@ void Relation::ReserveRows(std::size_t additional) {
   // every bulk copy into the same relation would pin capacity to the
   // exact request each time and degrade repeated appends to O(n^2)
   // element moves.
-  const std::size_t want = rows_.size() + additional;
-  if (want > rows_.capacity()) {
-    rows_.reserve(std::max(want, rows_.capacity() * 2));
-  }
+  const std::size_t want = num_rows_ + additional;
   for (auto& col : columns_) {
     if (want > col.capacity()) col.reserve(std::max(want, col.capacity() * 2));
   }
@@ -170,18 +153,27 @@ std::size_t Relation::UnionWith(const Relation& other) {
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       ids[c] = other.columns_[c][i];
     }
-    // Copy other's materialized Tuple view instead of resolving the ids
-    // through the dictionary.
     if (InsertIdRow(ids.data(), RowIdTable::HashIds(ids.data(), ids.size()))) {
-      rows_.push_back(other.rows_[i]);
       ++added;
     }
   }
   return added;
 }
 
+bool Relation::ContainsRowOf(const Relation& other, std::size_t i) const {
+  if (other.columns_.size() != columns_.size() || num_rows_ == 0) {
+    return false;
+  }
+  std::vector<std::uint32_t>& ids = IdScratch();
+  ids.resize(columns_.size());
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    ids[c] = other.columns_[c][i];
+  }
+  return id_table_.Find(columns_, ids.data()) != kNoRow;
+}
+
 std::uint32_t Relation::FindRowId(const Tuple& tuple) const {
-  if (rows_.empty()) return kNoRow;
+  if (num_rows_ == 0) return kNoRow;
   std::vector<std::uint32_t>& ids = IdScratch();
   // A tuple containing a value the dictionary has never seen cannot be
   // stored in any relation.
@@ -204,12 +196,10 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
     }
   }
   if (erased == 0) return 0;
-  std::vector<Tuple> survivors;
-  survivors.reserve(rows_.size() - erased);
   ids.resize(columns_.size());
   std::vector<std::vector<std::uint32_t>> new_columns(columns_.size());
-  for (auto& col : new_columns) col.reserve(rows_.size() - erased);
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
+  for (auto& col : new_columns) col.reserve(num_rows_ - erased);
+  for (std::size_t i = 0; i < num_rows_; ++i) {
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       ids[c] = columns_[c][i];
     }
@@ -217,11 +207,10 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       new_columns[c].push_back(ids[c]);
     }
-    survivors.push_back(std::move(rows_[i]));
   }
   columns_ = std::move(new_columns);
-  rows_ = std::move(survivors);
-  id_table_.Rebuild(columns_, rows_.size());
+  num_rows_ -= erased;
+  id_table_.Rebuild(columns_, num_rows_);
   // Invalidate every index: row ids shifted, so the incremental
   // built_up_to watermarks are meaningless now. The entries are emptied
   // in place -- NOT erased -- so any outstanding Prepare{Single,}Index
@@ -246,7 +235,7 @@ std::size_t Relation::EraseAll(const std::vector<Tuple>& tuples) {
 const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
     int column) const {
   SortedKeyCache& cache = sorted_keys_[column];
-  if (cache.built_up_to != rows_.size()) {
+  if (cache.built_up_to != num_rows_) {
     // Appended (or erased-and-compacted) rows since the last build: a
     // merge of the new ids is no cheaper than re-sorting the column, so
     // rebuild from scratch. The fixpoint engines call this once per
@@ -257,7 +246,7 @@ const std::vector<std::uint32_t>& Relation::SortedColumnKeys(
     std::sort(cache.keys.begin(), cache.keys.end());
     cache.keys.erase(std::unique(cache.keys.begin(), cache.keys.end()),
                      cache.keys.end());
-    cache.built_up_to = rows_.size();
+    cache.built_up_to = num_rows_;
   }
   return cache.keys;
 }
@@ -318,27 +307,27 @@ void Relation::ExtendIndex(const std::vector<int>& columns,
                            ColumnIndex* index) const {
   // Write-free when already current, so concurrent Lookups on an
   // EnsureIndex'd column set never race on built_up_to.
-  if (index->built_up_to == rows_.size()) return;
+  if (index->built_up_to == num_rows_) return;
   std::vector<std::uint32_t> key(columns.size());
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     for (std::size_t k = 0; k < columns.size(); ++k) {
       key[k] = columns_[static_cast<std::size_t>(columns[k])][i];
     }
     index->map[key].push_back(static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 void Relation::ExtendSingleIndex(int column, SingleColumnIndex* index) const {
   // Write-free when already current (frozen-snapshot contract), like
   // ExtendIndex above.
-  if (index->built_up_to == rows_.size()) return;
+  if (index->built_up_to == num_rows_) return;
   const std::vector<std::uint32_t>& col =
       columns_[static_cast<std::size_t>(column)];
-  for (std::size_t i = index->built_up_to; i < rows_.size(); ++i) {
+  for (std::size_t i = index->built_up_to; i < num_rows_; ++i) {
     index->map[col[i]].push_back(static_cast<std::uint32_t>(i));
   }
-  index->built_up_to = rows_.size();
+  index->built_up_to = num_rows_;
 }
 
 }  // namespace datalog

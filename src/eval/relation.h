@@ -2,7 +2,9 @@
 #define DATALOG_EVAL_RELATION_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <span>
 #include <unordered_map>
@@ -18,14 +20,17 @@ namespace datalog {
 /// extend incrementally and lets callers treat a row-count watermark as a
 /// stable snapshot boundary (used by semi-naive evaluation).
 ///
-/// Storage is columnar (see docs/columnar_storage.md): every inserted
-/// value is interned to a dense u32 id in the global ValueDictionary and
-/// each column is a contiguous `std::vector<std::uint32_t>`; dedup,
-/// membership and the postings indexes all key on ids, so probes compare
-/// 4-byte integers. The insertion-ordered `rows()` Tuple view is still
-/// maintained (it is the API callers iterate), assembled from the
-/// dictionary at insert time; the columns are the substrate the bytecode
-/// VM scans (eval/bytecode/vm.cc).
+/// Storage is columnar and id-only (see docs/columnar_storage.md): every
+/// inserted value is interned to a dense u32 id in the global
+/// ValueDictionary and each column is a contiguous
+/// `std::vector<std::uint32_t>`; dedup, membership and the postings
+/// indexes all key on ids, so probes compare 4-byte integers. The columns
+/// are the only copy of a row. `row(i)` and `rows()` decode rows on
+/// demand through the dictionary and return `Tuple`s by value; the
+/// executors read `column(c)` directly and resolve only the ids they
+/// bind, never a whole scanned row.
+/// An explicit row count stands in for the column length, because
+/// zero-arity rows occupy no ids.
 ///
 /// Thread safety: mutation (Insert) requires exclusive access, and Lookup
 /// lazily builds indexes, so it is not a pure read in general. Concurrent
@@ -33,34 +38,37 @@ namespace datalog {
 /// contract: no Insert is in flight, and every column set that will be
 /// probed has been EnsureIndex'd since the last Insert. Under that
 /// contract Lookup, Contains, FindRowId, rows(), row(), column() and
-/// size() are all read-only (see docs/parallel_eval.md).
+/// size() are all read-only (see docs/parallel_eval.md). Decoding a row
+/// only reads the columns and calls ValueDictionary::Resolve, which is
+/// lock-free, so readers of a frozen relation may run while other
+/// threads intern new values into the dictionary (the server's
+/// query-during-commit pattern).
 class Relation {
  public:
   explicit Relation(int arity = 0)
       : arity_(arity), columns_(static_cast<std::size_t>(arity)) {}
 
   int arity() const { return arity_; }
-  std::size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  std::size_t size() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
 
   /// Inserts `tuple`; returns true if it was not already present.
   bool Insert(Tuple tuple);
 
   /// Insert by dictionary ids (`ids.size()` must equal arity()); returns
-  /// true if the row was new. The Tuple row view is assembled from the
-  /// dictionary only for rows that are actually new.
+  /// true if the row was new.
   bool InsertIds(const std::vector<std::uint32_t>& ids);
 
   /// Inserts `count` id rows stored back to back in `ids` (row r is
   /// ids[r * arity(), (r + 1) * arity())), in order; returns how many
   /// were new. The single emit-and-dedup path of every join executor:
-  /// exactly one dedup-table probe per row, and the Tuple row view is
-  /// resolved from the dictionary only for rows that are actually new.
-  /// `count` is explicit because zero-arity rows occupy no ids.
+  /// exactly one dedup-table probe per row, and a new row is appended to
+  /// the columns as it stands -- no Value is touched. `count` is
+  /// explicit because zero-arity rows occupy no ids.
   std::size_t InsertIdRows(const std::vector<std::uint32_t>& ids,
                            std::size_t count);
 
-  /// Pre-sizes storage (columns, row views, and the dedup table) for
+  /// Pre-sizes storage (the columns and the dedup table) for
   /// `additional` more rows, so bulk inserts pay one table resize instead
   /// of a doubling cascade. The fixpoint drivers call it once per round
   /// per head relation, sized by the relation's growth in the previous
@@ -69,12 +77,12 @@ class Relation {
   void ReserveRows(std::size_t additional);
 
   /// Adds every row of `other` (same arity) in its row order; returns how
-  /// many were new. The copy stays in id space and reuses `other`'s
-  /// materialized Tuple views (Database's UnionWith runs on this).
+  /// many were new. The copy stays in id space (Database's UnionWith runs
+  /// on this).
   std::size_t UnionWith(const Relation& other);
 
   /// Erases every tuple of `tuples` that is present; returns how many
-  /// were removed. Removal compacts the row vector (later rows shift
+  /// were removed. Removal compacts the columns (later rows shift
   /// down) and invalidates every index -- including any outstanding
   /// Prepare{Single,}Index views, which keep pointing at live (now
   /// empty) index maps rather than freed memory -- so erasure breaks the
@@ -108,8 +116,73 @@ class Relation {
     return FindRowIdByIds(ids) != kNoRow;
   }
 
-  const std::vector<Tuple>& rows() const { return rows_; }
-  const Tuple& row(std::size_t i) const { return rows_[i]; }
+  /// True if row `i` of `other` is present here, compared by ids (no
+  /// decode); false when the arities differ.
+  bool ContainsRowOf(const Relation& other, std::size_t i) const;
+
+  /// Row `i` (i < size()), decoded from the id columns through the
+  /// dictionary.
+  Tuple row(std::size_t i) const {
+    const ValueDictionary& dict = ValueDictionary::Global();
+    Tuple tuple;
+    tuple.reserve(columns_.size());
+    for (const std::vector<std::uint32_t>& col : columns_) {
+      tuple.push_back(dict.Resolve(col[i]));
+    }
+    return tuple;
+  }
+
+  /// The insertion-ordered rows as a light range whose iterator decodes
+  /// each row on dereference (a `Tuple` by value), so
+  /// `for (const Tuple& t : rel.rows())` reads one row at a time and
+  /// nothing is materialized. The range's end is the row count when
+  /// end() is called; rows appended later are not visited by a loop
+  /// already running. A caller that needs a `std::vector<Tuple>` builds
+  /// it explicitly from begin()/end().
+  class Rows {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Tuple;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Tuple;
+
+      iterator() = default;
+      Tuple operator*() const { return rel_->row(i_); }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++i_;
+        return old;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.i_ == b.i_;
+      }
+
+     private:
+      friend class Rows;
+      iterator(const Relation* rel, std::size_t i) : rel_(rel), i_(i) {}
+      const Relation* rel_ = nullptr;
+      std::size_t i_ = 0;
+    };
+
+    iterator begin() const { return iterator(rel_, 0); }
+    iterator end() const { return iterator(rel_, rel_->size()); }
+    std::size_t size() const { return rel_->size(); }
+    bool empty() const { return rel_->empty(); }
+    Tuple operator[](std::size_t i) const { return rel_->row(i); }
+
+   private:
+    friend class Relation;
+    explicit Rows(const Relation* rel) : rel_(rel) {}
+    const Relation* rel_;
+  };
+  Rows rows() const { return Rows(this); }
 
   /// The id column for `c`: column(c)[i] is the dictionary id of
   /// row(i)[c]. Contiguous, insertion-ordered, append-only between
@@ -332,23 +405,22 @@ class Relation {
   };
   struct SortedKeyCache {
     std::vector<std::uint32_t> keys;  // sorted distinct ids
-    std::size_t built_up_to = 0;      // rows_[0, built_up_to) contributed
+    std::size_t built_up_to = 0;      // rows [0, built_up_to) contributed
   };
 
   /// Insert of the id row at `ids` (RowIdTable::HashIds of it
   /// is `hash`) into the dedup table and the columns; returns true if it
-  /// was new, and the caller then appends its Tuple view to rows_.
+  /// was new.
   bool InsertIdRow(const std::uint32_t* ids, std::uint64_t hash);
 
   void ExtendIndex(const std::vector<int>& columns, ColumnIndex* index) const;
   void ExtendSingleIndex(int column, SingleColumnIndex* index) const;
 
   int arity_;
-  // Insertion-ordered materialized rows: the iteration API, the Value
-  // view assembled at insert time; columns_ is the probe substrate.
-  std::vector<Tuple> rows_;
-  // One contiguous id vector per column, plus the allocation-free
-  // open-addressing dedup table over those columns.
+  // The row count: each column's length, kept explicitly for arity 0.
+  std::size_t num_rows_ = 0;
+  // One contiguous id vector per column -- the rows, insertion-ordered --
+  // plus the allocation-free open-addressing dedup table over them.
   std::vector<std::vector<std::uint32_t>> columns_;
   RowIdTable id_table_;
   // Ordered maps keyed by column list (or single column); indexes are

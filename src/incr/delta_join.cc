@@ -16,7 +16,9 @@ namespace {
 /// classified once into key / write / check schedules against a flat
 /// Value frame, and every depth reuses one key buffer, so the inner loop
 /// performs no per-row binding churn and no per-probe allocation. Probes
-/// go through Relation::Lookup/Contains (the id-keyed indexes).
+/// go through Relation::Lookup/FindRowId (the id-keyed indexes); a
+/// candidate row is read from the id columns, and only the slots it
+/// writes are resolved to Values.
 class CompiledDeltaMatcher {
  public:
   CompiledDeltaMatcher(const std::vector<Atom>& atoms,
@@ -49,7 +51,7 @@ class CompiledDeltaMatcher {
       step.predicate = atom.predicate();
       step.arity = atom.arity();
       step.spec = idx;
-      std::set<VariableId> written_here;
+      std::map<VariableId, int> written_here;  // first column per variable
       for (int i = 0; i < atom.arity(); ++i) {
         const Term& t = atom.args()[static_cast<std::size_t>(i)];
         if (t.is_constant()) {
@@ -60,11 +62,12 @@ class CompiledDeltaMatcher {
           step.key.push_back(Value());
           step.key_fill.push_back(
               {static_cast<int>(step.key.size()) - 1, slot_for(t.var())});
-        } else if (written_here.insert(t.var()).second) {
+        } else if (auto [it, first] = written_here.emplace(t.var(), i);
+                   first) {
           step.writes.push_back({i, slot_for(t.var())});
           var_slots_.emplace_back(t.var(), step.writes.back().slot);
         } else {
-          step.checks.push_back({i, slot_for(t.var())});
+          step.checks.emplace_back(it->second, i);
         }
       }
       for (const Term& t : atom.args()) {
@@ -100,7 +103,9 @@ class CompiledDeltaMatcher {
     Tuple key;  // constants pre-filled; bound positions patched per visit
     std::vector<KeyFill> key_fill;
     std::vector<SlotRef> writes;
-    std::vector<SlotRef> checks;
+    // Repeated variables as row-local (first column, repeat column)
+    // pairs, compared on the raw ids.
+    std::vector<std::pair<int, int>> checks;
   };
 
   /// Most-bound-columns first; smaller primary relation breaks ties.
@@ -161,21 +166,23 @@ class CompiledDeltaMatcher {
           slots_[static_cast<std::size_t>(kf.slot)];
     }
 
-    auto try_row = [&](const Tuple& row, bool check_subtraction) {
+    const ValueDictionary& dict = ValueDictionary::Global();
+    // Row `i` of `rel`, unless it is in `minus` (the subtraction source's
+    // relation, when this source is subtracted from).
+    auto try_row = [&](const Relation& rel, std::size_t i,
+                       const Relation* minus) {
       if (stats_ != nullptr) ++stats_->tuples_scanned;
-      if (check_subtraction && spec.subtraction != nullptr &&
-          spec.subtraction->Contains(step.predicate, row)) {
+      if (minus != nullptr && minus->ContainsRowOf(rel, i)) {
         return true;  // excluded; keep enumerating
+      }
+      for (const auto& [first, repeat] : step.checks) {
+        if (rel.column(first)[i] != rel.column(repeat)[i]) {
+          return true;  // repeated variable mismatch
+        }
       }
       for (const SlotRef& w : step.writes) {
         slots_[static_cast<std::size_t>(w.slot)] =
-            row[static_cast<std::size_t>(w.col)];
-      }
-      for (const SlotRef& c : step.checks) {
-        if (slots_[static_cast<std::size_t>(c.slot)] !=
-            row[static_cast<std::size_t>(c.col)]) {
-          return true;  // repeated variable mismatch
-        }
+            dict.Resolve(rel.column(w.col)[i]);
       }
       return Enumerate(depth + 1);
     };
@@ -183,17 +190,20 @@ class CompiledDeltaMatcher {
     auto scan_source = [&](const Database& db, bool check_subtraction) {
       const Relation& rel = db.relation(step.predicate);
       if (rel.empty() || rel.arity() != step.arity) return true;
+      const Relation* minus =
+          check_subtraction && spec.subtraction != nullptr
+              ? &spec.subtraction->relation(step.predicate)
+              : nullptr;
+      if (stats_ != nullptr) ++stats_->index_lookups;
       if (step.key_cols.empty()) {
-        if (stats_ != nullptr) ++stats_->index_lookups;
-        for (const Tuple& row : rel.rows()) {
-          if (!try_row(row, check_subtraction)) return false;
+        for (std::size_t i = 0; i < rel.size(); ++i) {
+          if (!try_row(rel, i, minus)) return false;
         }
         return true;
       }
-      if (stats_ != nullptr) ++stats_->index_lookups;
       if (static_cast<int>(step.key_cols.size()) == step.arity) {
-        if (rel.Contains(step.key) &&
-            !try_row(step.key, check_subtraction)) {
+        const std::uint32_t row_id = rel.FindRowId(step.key);
+        if (row_id != Relation::kNoRow && !try_row(rel, row_id, minus)) {
           return false;
         }
         return true;
@@ -203,7 +213,7 @@ class CompiledDeltaMatcher {
               ? rel.Lookup(step.key_cols[0], step.key[0])
               : rel.Lookup(step.key_cols, step.key);
       for (std::uint32_t row_id : row_ids) {
-        if (!try_row(rel.row(row_id), check_subtraction)) return false;
+        if (!try_row(rel, row_id, minus)) return false;
       }
       return true;
     };
@@ -339,28 +349,30 @@ class MultiwayDeltaMatcher {
     }
 
     std::vector<Value> values;
+    const ValueDictionary& dict = ValueDictionary::Global();
     auto scan_source = [&](const Database& db, bool check_subtraction) {
       const Relation& rel = db.relation(atom.predicate());
       if (rel.empty() || rel.arity() != atom.arity()) return;
+      const Relation* minus =
+          check_subtraction && spec.subtraction != nullptr
+              ? &spec.subtraction->relation(atom.predicate())
+              : nullptr;
       if (stats_ != nullptr) ++stats_->index_lookups;
-      auto consider = [&](const Tuple& row) {
+      auto consider = [&](std::size_t i) {
         if (stats_ != nullptr) ++stats_->tuples_scanned;
-        if (check_subtraction && spec.subtraction != nullptr &&
-            spec.subtraction->Contains(atom.predicate(), row)) {
-          return;
-        }
-        const Value& v = row[static_cast<std::size_t>(var_cols[0])];
+        if (minus != nullptr && minus->ContainsRowOf(rel, i)) return;
+        const std::uint32_t id = rel.column(var_cols[0])[i];
         for (std::size_t k = 1; k < var_cols.size(); ++k) {
-          if (row[static_cast<std::size_t>(var_cols[k])] != v) return;
+          if (rel.column(var_cols[k])[i] != id) return;
         }
-        values.push_back(v);
+        values.push_back(dict.Resolve(id));
       };
       if (bound_cols.empty()) {
-        for (const Tuple& row : rel.rows()) consider(row);
+        for (std::size_t i = 0; i < rel.size(); ++i) consider(i);
         return;
       }
       for (std::uint32_t row_id : rel.Lookup(bound_cols, key)) {
-        consider(rel.row(row_id));
+        consider(row_id);
       }
     };
     scan_source(*spec.primary, /*check_subtraction=*/true);

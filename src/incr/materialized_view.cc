@@ -533,9 +533,10 @@ void MaterializedView::UpdateRecompute(const SccPlan& plan,
   // negated -- lies in an earlier SCC and is already at its new state.
   std::map<PredicateId, std::vector<Tuple>> old_rows;
   for (PredicateId pred : plan.preds) {
-    old_rows[pred] = db_.relation(pred).rows();
+    const Relation::Rows rows = db_.relation(pred).rows();
+    old_rows[pred].assign(rows.begin(), rows.end());
     db_.ClearRelation(pred);
-    for (const Tuple& t : base_.relation(pred).rows()) db_.AddFact(pred, t);
+    db_.MutableRelation(pred).UnionWith(base_.relation(pred));
   }
   EvalStats run =
       pool_ != nullptr
@@ -577,7 +578,8 @@ Result<CommitStats> MaterializedView::Apply(
   }
 
   for (PredicateId pred : base_minus.NonEmptyPredicates()) {
-    base_.EraseFacts(pred, base_minus.relation(pred).rows());
+    const Relation::Rows rows = base_minus.relation(pred).rows();
+    base_.EraseFacts(pred, std::vector<Tuple>(rows.begin(), rows.end()));
   }
   base_.UnionWith(base_plus);
 

@@ -70,16 +70,16 @@ Result<std::vector<Tuple>> QuerySnapshot(const Database& db,
       stats->tuples_scanned += row_ids.size();
     }
     for (std::uint32_t row_id : row_ids) {
-      const Tuple& row = rel.row(row_id);
-      if (RowMatches(pattern, row)) out.push_back(row);
+      Tuple row = rel.row(row_id);
+      if (RowMatches(pattern, row)) out.push_back(std::move(row));
     }
   } else {
     if (stats != nullptr) {
       ++stats->index_lookups;  // counted as one (scan) probe, like a plan
       stats->tuples_scanned += rel.size();
     }
-    for (const Tuple& row : rel.rows()) {
-      if (RowMatches(pattern, row)) out.push_back(row);
+    for (Tuple row : rel.rows()) {
+      if (RowMatches(pattern, row)) out.push_back(std::move(row));
     }
   }
   std::sort(out.begin(), out.end());

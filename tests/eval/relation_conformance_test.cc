@@ -5,9 +5,11 @@
 // as a mismatch against the oracle in the differential fuzzer, so keep
 // this suite the first, cheapest line of defense.
 
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "eval/database.h"
 #include "eval/relation.h"
 #include "gtest/gtest.h"
 
@@ -206,16 +208,6 @@ TEST_P(RelationConformanceTest, DegenerateEmptyColumnIndexMapsAllRows) {
   EXPECT_EQ(all[1], 1u);
 }
 
-TEST_P(RelationConformanceTest, ZeroArityRelation) {
-  Relation rel(0);
-  EXPECT_TRUE(rel.Insert(Tuple{}));
-  EXPECT_FALSE(rel.Insert(Tuple{}));
-  EXPECT_EQ(rel.size(), 1u);
-  EXPECT_TRUE(rel.Contains(Tuple{}));
-  EXPECT_EQ(rel.EraseAll({Tuple{}}), 1u);
-  EXPECT_TRUE(rel.empty());
-  EXPECT_FALSE(rel.Contains(Tuple{}));
-}
 
 TEST_P(RelationConformanceTest, IdsRoundTripThroughEitherBackend) {
   // InsertIds/ContainsIds and the Value API see one set: feed the id row
@@ -348,6 +340,121 @@ TEST_P(RelationConformanceTest, InsertIdRowsDedupsWithinAndAcrossBatches) {
   Relation unit(0);
   EXPECT_EQ(unit.InsertIdRows({}, 3), 1u);
   EXPECT_EQ(unit.size(), 1u);
+}
+
+/// The rows of `rel` read both ways -- `row(i)` by index, and `rows()`
+/// by iteration -- checking that the two agree; returns them.
+std::vector<Tuple> DecodedRows(const Relation& rel) {
+  std::vector<Tuple> by_index;
+  for (std::size_t i = 0; i < rel.size(); ++i) by_index.push_back(rel.row(i));
+  const Relation::Rows rows = rel.rows();
+  EXPECT_EQ(rows.size(), rel.size());
+  EXPECT_EQ(rows.empty(), rel.empty());
+  std::vector<Tuple> by_iteration;
+  for (const Tuple& t : rows) by_iteration.push_back(t);
+  EXPECT_EQ(by_iteration, by_index);
+  EXPECT_EQ(std::vector<Tuple>(rows.begin(), rows.end()), by_index);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], by_index[i]);
+  }
+  return by_index;
+}
+
+/// Rows of every value kind the decode must reproduce exactly: ints,
+/// symbols and nulls, with payloads shared across kinds.
+std::vector<Tuple> MixedKindRows() {
+  return {{Value::Int(3), Value::Symbol(3)},
+          {Value::Null(3), Value::Int(-8)},
+          {Value::Symbol(0), Value::Null(0)},
+          {Value::Int(3), Value::Int(3)},
+          {Value::Null(9), Value::Symbol(3)}};
+}
+
+TEST_P(RelationConformanceTest, ZeroArityRelation) {
+  // Zero-arity rows occupy no ids: only the row count says they exist.
+  Relation rel(0);
+  EXPECT_TRUE(rel.Insert(Tuple{}));
+  EXPECT_FALSE(rel.Insert(Tuple{}));
+  EXPECT_EQ(rel.size(), 1u);
+  EXPECT_TRUE(rel.Contains(Tuple{}));
+  EXPECT_EQ(DecodedRows(rel), std::vector<Tuple>{Tuple{}});
+  const Relation copy = rel;
+  Relation merged(0);
+  EXPECT_EQ(merged.UnionWith(rel), 1u);
+  EXPECT_EQ(merged.UnionWith(rel), 0u);
+  EXPECT_EQ(DecodedRows(merged), std::vector<Tuple>{Tuple{}});
+  EXPECT_EQ(rel.EraseAll({Tuple{}}), 1u);
+  EXPECT_TRUE(rel.empty());
+  EXPECT_FALSE(rel.Contains(Tuple{}));
+  EXPECT_TRUE(DecodedRows(rel).empty());
+  EXPECT_FALSE(rel.ContainsRowOf(copy, 0));
+  EXPECT_TRUE(merged.ContainsRowOf(copy, 0));
+  EXPECT_EQ(copy.size(), 1u);  // the copy was independent
+  EXPECT_TRUE(rel.Insert(Tuple{}));
+  EXPECT_EQ(rel.size(), 1u);
+}
+
+TEST_P(RelationConformanceTest, DecodedRowsFollowInsertionOrder) {
+  const std::vector<Tuple> inserted = MixedKindRows();
+  Relation rel(2);
+  for (const Tuple& t : inserted) EXPECT_TRUE(rel.Insert(t));
+  for (const Tuple& t : inserted) EXPECT_FALSE(rel.Insert(t));
+  EXPECT_EQ(DecodedRows(rel), inserted);
+  // Rows inserted by id decode to the same Values.
+  std::vector<std::uint32_t> ids;
+  for (const Tuple& t : inserted) {
+    std::vector<std::uint32_t> row;
+    ValueDictionary::Global().InternRow(t, &row);
+    ids.insert(ids.end(), row.begin(), row.end());
+  }
+  Relation by_id(2);
+  EXPECT_EQ(by_id.InsertIdRows(ids, inserted.size()), inserted.size());
+  EXPECT_EQ(DecodedRows(by_id), inserted);
+}
+
+TEST_P(RelationConformanceTest, DecodedRowsAfterEraseUnionAndCopy) {
+  const std::vector<Tuple> inserted = MixedKindRows();
+  Relation rel(2);
+  for (const Tuple& t : inserted) rel.Insert(t);
+
+  // EraseAll compacts: survivors keep their relative order.
+  Relation erased = rel;
+  EXPECT_EQ(erased.EraseAll({inserted[1], inserted[3], inserted[1]}), 2u);
+  EXPECT_EQ(DecodedRows(erased),
+            (std::vector<Tuple>{inserted[0], inserted[2], inserted[4]}));
+  EXPECT_EQ(DecodedRows(rel), inserted);  // the copy was independent
+
+  // UnionWith appends other's new rows in other's order.
+  Relation merged(2);
+  merged.Insert(inserted[4]);
+  EXPECT_EQ(merged.UnionWith(rel), inserted.size() - 1);
+  EXPECT_EQ(DecodedRows(merged),
+            (std::vector<Tuple>{inserted[4], inserted[0], inserted[1],
+                                inserted[2], inserted[3]}));
+  for (std::size_t i = 0; i < rel.size(); ++i) {
+    EXPECT_TRUE(merged.ContainsRowOf(rel, i));
+  }
+  EXPECT_FALSE(erased.ContainsRowOf(rel, 1));
+  EXPECT_FALSE(Relation(1).ContainsRowOf(rel, 0));  // arity mismatch
+
+  // A copied Database decodes the same rows, zero-arity ones included,
+  // and compares equal in id space.
+  auto symbols = std::make_shared<SymbolTable>();
+  const PredicateId p = symbols->InternPredicate("p", 2).value();
+  const PredicateId flag = symbols->InternPredicate("flag", 0).value();
+  Database db(symbols);
+  for (const Tuple& t : inserted) db.AddFact(p, t);
+  db.AddFact(flag, Tuple{});
+  const Database copy = db;
+  EXPECT_EQ(DecodedRows(copy.relation(p)), inserted);
+  EXPECT_EQ(copy.relation(flag).size(), 1u);
+  EXPECT_EQ(DecodedRows(copy.relation(flag)), std::vector<Tuple>{Tuple{}});
+  EXPECT_TRUE(copy == db);
+  Database smaller = copy;
+  smaller.EraseFacts(flag, {Tuple{}});
+  EXPECT_TRUE(smaller.IsSubsetOf(db));
+  EXPECT_FALSE(db.IsSubsetOf(smaller));
+  EXPECT_EQ(db.relation(flag).size(), 1u);  // the copy was independent
 }
 
 INSTANTIATE_TEST_SUITE_P(RowAndColumnar, RelationConformanceTest,

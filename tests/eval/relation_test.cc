@@ -266,5 +266,53 @@ TEST(RelationTest, ConcurrentReadOnlyLookupsOnPrebuiltIndex) {
   EXPECT_EQ(total.load(), 4u * (200u * 16u + 200u + 200u + 200u));
 }
 
+TEST(RelationTest, ConcurrentRowDecodeWhileDictionaryGrows) {
+  // The server's query-during-commit pattern: readers decode rows of a
+  // frozen, index-prepared relation through the global dictionary while
+  // another thread interns new values into it -- enough to publish a new
+  // dictionary chunk. Decoding only reads the columns and resolves ids
+  // lock-free, so TSan must see no race and every decode must be exact.
+  Relation rel(2);
+  std::vector<Tuple> expected;
+  for (std::int64_t i = 0; i < 128; ++i) {
+    expected.push_back({Value::Int(i % 8), Value::Symbol(900000 + i)});
+    rel.Insert(expected.back());
+  }
+  // Readers probe through a prepared view by id: Lookup by Value would
+  // take the dictionary's shared lock and starve the interning thread.
+  const Relation::SingleIndexView by_first = rel.PrepareSingleIndex(0);
+  ValueDictionary& dict = ValueDictionary::Global();
+  const std::uint32_t three = dict.LookupId(Value::Int(3));
+
+  std::atomic<bool> interning{true};
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> passes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      // At least one full pass, then keep reading until interning ends.
+      do {
+        std::size_t bad = 0;
+        std::size_t i = 0;
+        for (const Tuple& row : rel.rows()) bad += row != expected[i++];
+        for (std::uint32_t id : by_first.FindId(three)) {
+          bad += rel.row(id) != expected[id];
+        }
+        mismatches.fetch_add(bad, std::memory_order_relaxed);
+        passes.fetch_add(1, std::memory_order_relaxed);
+      } while (interning.load(std::memory_order_acquire));
+    });
+  }
+  // One dictionary chunk holds 2^16 values; this crosses at least one
+  // chunk boundary whatever the dictionary held before.
+  for (std::int64_t i = 0; i < 70000; ++i) {
+    dict.Intern(Value::Int(-5000000 - i));
+  }
+  interning.store(false, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(passes.load(), 3u);
+}
+
 }  // namespace
 }  // namespace datalog

@@ -264,6 +264,40 @@ TEST(CliTest, BadUsageExitsNonZero) {
   EXPECT_NE(RunCli("minimize /nonexistent-file.dl", &out), 0);
 }
 
+TEST(CliTest, UnknownFlagIsAUsageError) {
+  std::string program = WriteTemp("flag.dl", "g(x) :- a(x).\n");
+  std::string facts = WriteTemp("flag_facts.dl", "a(1).");
+  std::string out;
+  // A removed flag and a misspelled one, after or between positionals.
+  EXPECT_EQ(RunCli("eval " + program + " " + facts + " --no-bytecode", &out),
+            2);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(RunCli("eval --bogus-flag " + program + " " + facts, &out), 2);
+  EXPECT_EQ(RunCli("minimize " + program + " --bogus-flag", &out), 2);
+  // The flags every command takes still pass.
+  EXPECT_EQ(RunCli("eval " + program + " " + facts + " --threads 2", &out), 0);
+  EXPECT_EQ(out, "a(1).\ng(1).\n");
+}
+
+TEST(CliTest, ExtraTrailingArgumentIsAUsageError) {
+  std::string program = WriteTemp("extra.dl", "g(x) :- a(x).\n");
+  std::string facts = WriteTemp("extra_facts.dl", "a(1).");
+  std::string tgds = WriteTemp("extra.tgd", "");
+  std::string out;
+  EXPECT_EQ(RunCli("eval " + program + " " + facts + " " + facts, &out), 2);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(RunCli("minimize " + program + " extra", &out), 2);
+  EXPECT_EQ(RunCli("query " + program + " " + facts + " 'g(x).' extra", &out),
+            2);
+  // prove's one optional trailing argument is -v, and nothing else.
+  EXPECT_EQ(
+      RunCli("prove " + program + " " + program + " " + tgds + " -x", &out),
+      2);
+  EXPECT_EQ(RunCli("prove " + program + " " + program + " " + tgds + " -v x",
+                   &out),
+            2);
+}
+
 TEST(CliTest, ParseErrorsExitNonZero) {
   std::string program = WriteTemp("bad.dl", "g(x :- a(x).\n");
   std::string out;

@@ -31,8 +31,7 @@ using Assignment = std::map<VariableId, Value>;
 inline Facts FactsOf(const Database& db) {
   Facts facts;
   for (PredicateId pred : db.NonEmptyPredicates()) {
-    const std::vector<Tuple>& rows = db.relation(pred).rows();
-    facts[pred].insert(rows.begin(), rows.end());
+    for (const Tuple& row : db.relation(pred).rows()) facts[pred].insert(row);
   }
   return facts;
 }

@@ -56,7 +56,8 @@ inline PlanCheckCounts ExpectPlansMatchOracle(const std::vector<Rule>& rules,
   OldLimits half;
   std::map<PredicateId, std::set<Tuple>> older, newer;
   for (PredicateId pred : db.NonEmptyPredicates()) {
-    const std::vector<Tuple>& rows = db.relation(pred).rows();
+    const Relation::Rows view = db.relation(pred).rows();
+    const std::vector<Tuple> rows(view.begin(), view.end());
     const std::size_t limit = rows.size() / 2;
     half[pred] = limit;
     older[pred].insert(rows.begin(), rows.begin() + limit);

@@ -11,8 +11,9 @@
 # output must be valid JSON, runs a deterministic work-counter
 # regression gate (eval.tuples_scanned / eval.index_lookups /
 # eval.dedup_probes / eval.plans_compiled on a fixed corpus must stay at
-# or below tools/work_counters.baseline, and dedup_probes must equal the
-# emitted rows -- one dedup probe per derived fact), and runs
+# or below tools/work_counters.baseline, dedup_probes must equal the
+# emitted rows -- one dedup probe per derived fact -- and every baseline
+# row must name a measured case), and runs
 # the datalog lint gate (tools/lint.sh: `datalog-opt check` over every
 # checked-in .dl program must report no error diagnostics).
 #
@@ -218,6 +219,11 @@ for name, (scanned, lookups, dedup, plans, substitutions) in sorted(
           f"dedup_probes {dedup} (baseline {base_dedup}, emitted rows "
           f"{substitutions}), plans_compiled {plans} (baseline "
           f"{base_plans}) {tag}")
+# A baseline row no case measured would otherwise stop gating silently
+# when its case leaves the loop above.
+for name in sorted(baseline.keys() - measured.keys()):
+    print(f"work-counter gate: baseline case '{name}' was not measured")
+    failed = True
 sys.exit(1 if failed else 0)
 PYEOF
   rm -rf "${tmp}"
@@ -245,9 +251,12 @@ run_gate() {
   else
     # The thread-pool, parallel-evaluator, concurrent-relation,
     # incremental-maintenance, and differential tests all live in
-    # these suites. obs_test runs the trace-invariant checks (which
-    # drive the parallel engines with tracing enabled), and core_test's
-    # metamorphic filter runs the minimizer fuzzer.
+    # these suites; eval_test's concurrent-relation tests include row
+    # decoding of a frozen relation while another thread interns into
+    # the dictionary (the server's query-during-commit pattern).
+    # obs_test runs the trace-invariant checks (which drive the parallel
+    # engines with tracing enabled), and core_test's metamorphic filter
+    # runs the minimizer fuzzer.
     ./tests/util_test
     ./tests/eval_test
     ./tests/incr_test

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -776,6 +777,20 @@ int MatchPathFlag(char** argv, int argc, int i, const char* flag_name,
   return 2;
 }
 
+/// The argv slots (program name and command included) `command` takes at
+/// most, or 0 when it takes its own flags (`check`) or is unknown.
+int MaxArgs(const std::string& command) {
+  static const std::map<std::string, int>* const kMaxArgs =
+      new std::map<std::string, int>{
+          {"minimize", 3}, {"optimize", 3},     {"analyze", 3},
+          {"plan", 4},     {"eval", 4},         {"contains", 4},
+          {"client", 4},   {"minimize-sat", 4}, {"serve", 5},
+          {"query", 5},    {"explain", 5},      {"incr", 5},
+          {"prove", 6}};
+  auto it = kMaxArgs->find(command);
+  return it == kMaxArgs->end() ? 0 : it->second;
+}
+
 int Main(int argc, char** argv) {
   // Extract `--threads N`, `--trace FILE`, and `--metrics FILE` (anywhere
   // after the command) before positional parsing; only `eval`/`incr`
@@ -838,6 +853,25 @@ int Main(int argc, char** argv) {
     const std::string command = argv[1];
     auto symbols = std::make_shared<SymbolTable>();
 
+    // Every global flag was consumed above, so a remaining `--flag` or a
+    // surplus trailing argument is a usage error: a misspelled or removed
+    // option must not run the command as if it were absent.
+    if (const int max_args = MaxArgs(command); max_args > 0) {
+      for (int i = 2; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) == 0) {
+          std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+          return Usage();
+        }
+      }
+      const bool bad_prove_flag =
+          command == "prove" && argc == 6 && std::strcmp(argv[5], "-v") != 0;
+      if (argc > max_args || bad_prove_flag) {
+        std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                     argv[bad_prove_flag ? 5 : max_args]);
+        return Usage();
+      }
+    }
+
     // client's second argument is a socket path, not an input file.
     if (command == "client") {
       if (argc < 4) return Usage();
@@ -892,7 +926,7 @@ int Main(int argc, char** argv) {
     if (command == "prove") {
       std::string third;
       if (!ReadInput(argv[4], &third)) return 1;
-      bool verbose = argc > 5 && std::strcmp(argv[5], "-v") == 0;
+      bool verbose = argc > 5;  // argv[5] is "-v", checked above
       return CmdProve(first, second, third, verbose, symbols);
     }
     return Usage();
